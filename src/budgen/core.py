@@ -39,7 +39,10 @@ class Operad:
 
     Subclasses define arity, output/input colors, units, partial
     composition, and a canonical serialization.  Elements are plain
-    hashable Python values.
+    hashable Python values.  A subclass implements the unchecked
+    `_compose`; the public `compose` and `full_compose` check positions
+    and colors before calling it, and the engine calls it directly where
+    it has matched colors already.
     """
 
     colors: tuple[str, ...] = (MONO,)
@@ -64,6 +67,11 @@ class Operad:
 
     def compose(self, x, i: int, y):
         """Partial composition x o_i y (1-based position)."""
+        self._check_colors(x, i, y)
+        return self._compose(x, i, y)
+
+    def _compose(self, x, i: int, y):
+        """x o_i y for a position and colors the caller has already matched."""
         raise NotImplementedError
 
     def composable(self, x, i: int, y) -> bool:
@@ -80,9 +88,17 @@ class Operad:
         if len(ys) != n:
             raise CompositionError(
                 "complete composition needs %d arguments, got %d" % (n, len(ys)))
-        result = x
+        ins = self.ins(x)
         for i in range(n, 0, -1):
-            result = self.compose(result, i, ys[i - 1])
+            if ins[i - 1] != self.out(ys[i - 1]):
+                raise self._color_error(i, ins[i - 1], ys[i - 1])
+        return self._full_compose(x, ys)
+
+    def _full_compose(self, x, ys: Sequence):
+        """full_compose for arguments the caller has already matched."""
+        result = x
+        for i in range(len(ys), 0, -1):
+            result = self._compose(result, i, ys[i - 1])
         return result
 
     def dumps(self, x) -> str:
@@ -107,9 +123,12 @@ class Operad:
     def _check_colors(self, x, i: int, y) -> None:
         self._check_position(x, i)
         if self.in_color(x, i) != self.out(y):
-            raise CompositionError(
-                "input color %r at position %d does not match output color %r"
-                % (self.in_color(x, i), i, self.out(y)))
+            raise self._color_error(i, self.in_color(x, i), y)
+
+    def _color_error(self, i: int, color: str, y) -> CompositionError:
+        return CompositionError(
+            "input color %r at position %d does not match output color %r"
+            % (color, i, self.out(y)))
 
 
 class AsOperad(Operad):
@@ -123,8 +142,7 @@ class AsOperad(Operad):
             raise BudgenError("unknown color %r" % c)
         return 1
 
-    def compose(self, x: int, i: int, y: int) -> int:
-        self._check_colors(x, i, y)
+    def _compose(self, x: int, i: int, y: int) -> int:
         return x + y - 1
 
     def dumps(self, x: int) -> str:
@@ -193,11 +211,22 @@ class BudOperad(Operad):
             raise BudgenError("unknown color %r" % c)
         return (c, self.ground.unit(MONO), (c,))
 
-    def compose(self, x, i: int, y):
-        self._check_colors(x, i, y)
+    # compose and full_compose check positions and colors on the input
+    # words; the ground has nothing left to check, because the ground arity
+    # of an element equals the length of its input word.
+
+    def _compose(self, x, i: int, y):
         a, g, u = x
-        _, h, v = y
-        return (a, self.ground.compose(g, i, h), u[:i - 1] + v + u[i:])
+        return (a, self.ground._compose(g, i, y[1]), u[:i - 1] + y[2] + u[i:])
+
+    def _full_compose(self, x, ys: Sequence):
+        ground = self.ground
+        g, u = x[1], ()
+        for i in range(len(ys), 0, -1):
+            y = ys[i - 1]
+            g = ground._compose(g, i, y[1])
+            u = y[2] + u
+        return (x[0], g, u)
 
     def dumps(self, x) -> str:
         a, g, u = x

@@ -14,8 +14,6 @@ import math
 from itertools import product
 from typing import Sequence
 
-import networkx as nx
-
 from .core import (
     MONO,
     AsOperad,
@@ -98,27 +96,28 @@ class MagOperad(Operad):
 
     NODE = "c"
 
+    def __init__(self):
+        # arity memo: grafting asks for the arity of a subtree at every level
+        self._arities = {LEAF: 1}
+
     def arity(self, x) -> int:
-        if x == LEAF:
-            return 1
-        return self.arity(x[1]) + self.arity(x[2])
+        a = self._arities.get(x)
+        if a is None:
+            a = self._arities[x] = self.arity(x[1]) + self.arity(x[2])
+        return a
 
     def unit(self, c: str):
         if c != MONO:
             raise BudgenError("unknown color %r" % c)
         return LEAF
 
-    def compose(self, x, i: int, y):
-        self._check_colors(x, i, y)
-        return self._graft(x, i, y)
-
-    def _graft(self, x, i, y):
+    def _compose(self, x, i: int, y):
         if x == LEAF:
             return y
         left_arity = self.arity(x[1])
         if i <= left_arity:
-            return (self.NODE, self._graft(x[1], i, y), x[2])
-        return (self.NODE, x[1], self._graft(x[2], i - left_arity, y))
+            return (self.NODE, self._compose(x[1], i, y), x[2])
+        return (self.NODE, x[1], self._compose(x[2], i - left_arity, y))
 
     def corolla(self):
         return (self.NODE, LEAF, LEAF)
@@ -173,8 +172,7 @@ class DiasOperad(Operad):
             raise BudgenError("unknown color %r" % c)
         return "0"
 
-    def compose(self, x: str, i: int, y: str) -> str:
-        self._check_colors(x, i, y)
+    def _compose(self, x: str, i: int, y: str) -> str:
         pivot = int(x[i - 1])
         spliced = "".join(str(max(int(a), pivot)) for a in y)
         return x[:i - 1] + spliced + x[i:]
@@ -221,8 +219,7 @@ class MotzOperad(Operad):
             raise BudgenError("unknown color %r" % c)
         return ""
 
-    def compose(self, x: str, i: int, y: str) -> str:
-        self._check_colors(x, i, y)
+    def _compose(self, x: str, i: int, y: str) -> str:
         return x[:i - 1] + y + x[i - 1:]
 
     def dumps(self, x: str) -> str:
@@ -287,8 +284,7 @@ class ASchrOperad(Operad):
     def corolla(self, label: str, n: int = 2):
         return tuple([label] + [LEAF] * n)
 
-    def compose(self, x, i: int, y):
-        self._check_colors(x, i, y)
+    def _compose(self, x, i: int, y):
         if x == LEAF:
             return y
         return self._graft(x, i, y)
@@ -428,11 +424,14 @@ class FreeOperad(Operad):
     def __init__(self, spec: CollectionSpec):
         self.spec = spec
         self.colors = spec.colors
+        self._arities: dict = {}  # arity memo, as in MagOperad
 
     def arity(self, x) -> int:
-        if x[0] == UNIT_TAG:
-            return 1
-        return sum(1 if c == LEAF else self.arity(c) for c in x[1:])
+        a = self._arities.get(x)
+        if a is None:
+            a = self._arities[x] = 1 if x[0] == UNIT_TAG else sum(
+                1 if c == LEAF else self.arity(c) for c in x[1:])
+        return a
 
     def out(self, x) -> str:
         if x[0] == UNIT_TAG:
@@ -462,8 +461,7 @@ class FreeOperad(Operad):
     def corolla(self, name: str):
         return tuple([name] + [LEAF] * self.spec.arity(name))
 
-    def compose(self, x, i: int, y):
-        self._check_colors(x, i, y)
+    def _compose(self, x, i: int, y):
         if x[0] == UNIT_TAG:
             return y
         if y[0] == UNIT_TAG:
@@ -577,12 +575,6 @@ def st_arity(t) -> int:
     return sum(st_arity(c) for c in t[2])
 
 
-def st_height(t) -> int:
-    if t[0] == UNIT_TAG:
-        return 0
-    return 1 + max(st_height(c) for c in t[2])
-
-
 def st_is_perfect(t) -> bool:
     """True when all root-to-leaf paths have the same length."""
     depths: set[int] = set()
@@ -596,20 +588,6 @@ def st_is_perfect(t) -> bool:
 
     walk(t, 0)
     return len(depths) <= 1
-
-
-def st_eval(op: Operad, t):
-    if t[0] == UNIT_TAG:
-        return op.unit(t[1])
-    return op.full_compose(t[1], [st_eval(op, c) for c in t[2]])
-
-
-def st_labels(t):
-    """Iterate over the internal-node labels of t."""
-    if t[0] != UNIT_TAG:
-        yield t[1]
-        for c in t[2]:
-            yield from st_labels(c)
 
 
 def hook_count(t) -> int:
@@ -634,20 +612,41 @@ def hook_count(t) -> int:
 def finitely_factorizing_check(op: Operad, s1) -> tuple[bool, int]:
     """Check that the arity-1 generators admit no color cycle.
 
-    Builds the directed multigraph with an edge out(s) -> in_1(s) per
-    arity-1 generator; returns (acyclic?, longest chain length).
+    Walks the color graph with an edge out(s) -> in_1(s) per arity-1
+    generator; returns (acyclic?, longest chain length in edges), and
+    (False, -1) when there is a cycle, a self-loop included.
     """
-    graph = nx.MultiDiGraph()
-    graph.add_nodes_from(op.colors)
+    succ: dict = {}
     for s in s1:
         if op.arity(s) != 1:
             raise BudgenError("expected an arity-1 element")
-        graph.add_edge(op.out(s), op.in_color(s, 1))
-    if not nx.is_directed_acyclic_graph(graph):
-        return (False, -1)
-    if graph.number_of_edges() == 0:
-        return (True, 0)
-    return (True, nx.dag_longest_path_length(graph))
+        succ.setdefault(op.out(s), set()).add(op.in_color(s, 1))
+    longest: dict = {}  # color -> longest chain starting there
+    on_path: set = set()
+
+    def chain(c) -> int:
+        if c in longest:
+            return longest[c]
+        if c in on_path:
+            return -1
+        on_path.add(c)
+        best = 0
+        for d in succ.get(c, ()):
+            k = chain(d)
+            if k < 0:
+                return -1
+            best = max(best, k + 1)
+        on_path.discard(c)
+        longest[c] = best
+        return best
+
+    best = 0
+    for c in succ:
+        k = chain(c)
+        if k < 0:
+            return (False, -1)
+        best = max(best, k)
+    return (True, best)
 
 
 def degree_bound(n: int, k: int) -> int:

@@ -1,7 +1,8 @@
 """Arity-truncated formal power series on a colored operad.
 
-Coefficients are exact scalars (Fraction by default; anything with ring
-semantics works).  Every operation takes or propagates an arity bound N:
+Coefficients are exact scalars: `int` when the inputs are integral, and
+`Fraction` where `compose_inverse` divides (anything with ring semantics
+works).  Every operation takes or propagates an arity bound N:
 coefficients at arity <= N are exact and higher arities are absent.  The
 star and inverse operations iterate to a fixpoint with a certified
 iteration cap derived from the finitely-factorizing degree bound.
@@ -14,8 +15,8 @@ from fractions import Fraction
 from .core import BudgenError, BudOperad, DivergenceError, Operad, type_of
 from .operads import AsOperad, degree_bound, finitely_factorizing_check
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class Series:
@@ -110,19 +111,19 @@ def pre_lie(f: Series, g: Series, bound: int | None = None) -> Series:
     _check_compat(f, g)
     op = f.operad
     n_max = bound if bound is not None else f.bound
+    g_items = [(z, cz, op.arity(z), op.out(z)) for z, cz in g.coeffs.items()]
     coeffs: dict = {}
     for y, cy in f.coeffs.items():
         ny = op.arity(y)
-        for z, cz in g.coeffs.items():
-            if ny + op.arity(z) - 1 > n_max:
+        ins_y = op.ins(y)
+        for z, cz, nz, out_z in g_items:
+            if ny + nz - 1 > n_max:
                 continue
-            out_z = op.out(z)
-            ins_y = op.ins(y)
             w = cy * cz
             for i in range(1, ny + 1):
                 if ins_y[i - 1] != out_z:
                     continue
-                x = op.compose(y, i, z)
+                x = op._compose(y, i, z)
                 coeffs[x] = coeffs.get(x, ZERO) + w
     return Series(op, n_max, coeffs)
 
@@ -157,7 +158,7 @@ def compose_prod(f: Series, g: Series, bound: int | None = None) -> Series:
 
         def assign(j: int, acc_arity: int, weight) -> None:
             if j == len(pools):
-                x = op.full_compose(y, picks)
+                x = op._full_compose(y, picks)
                 coeffs[x] = coeffs.get(x, ZERO) + weight
                 return
             for az, z, cz in pools[j]:
@@ -242,14 +243,24 @@ def compose_inverse(f: Series) -> Series:
         denom = ONE
         for a in op.ins(x):
             denom = denom * unit_coeff[a]
-        weights[x] = c / denom
+        weights[x] = _divide(c, denom)
     s1 = [x for x in weights if op.arity(x) == 1]
     ok, chain = finitely_factorizing_check(op, s1)
     if not ok:
         raise DivergenceError("composition inverse diverges: color cycle")
     current = _graded_tree_sum(op, weights, f.bound, chain, negate=True)
-    return Series(op, f.bound,
-                  {x: c / unit_coeff[op.out(x)] for x, c in current.coeffs.items()})
+    return Series(op, f.bound, {x: _divide(c, unit_coeff[op.out(x)])
+                                for x, c in current.coeffs.items()})
+
+
+def _divide(c, d):
+    """c / d, exact: a Fraction for two ints, and no division when d is 1
+    (c * d then keeps the coefficient type of both inputs)."""
+    if d == 1:
+        return c * d
+    if isinstance(c, int) and isinstance(d, int):
+        return Fraction(c, d)
+    return c / d
 
 
 def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
@@ -307,7 +318,7 @@ def _accumulate_slice(op: Operad, y, weight, ins, pools: dict,
 
     def assign(j: int, acc_arity: int, w) -> None:
         if j == len(choice_lists):
-            x = op.full_compose(y, picks)
+            x = op._full_compose(y, picks)
             acc[x] = acc.get(x, ZERO) + w
             return
         for az, z, cz in choice_lists[j]:

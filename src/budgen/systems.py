@@ -68,19 +68,20 @@ class BudSystem:
     # -- series ------------------------------------------------------------
 
     def rule_series(self, bound: int) -> S.Series:
-        return S.characteristic(self.bud, self.rules, bound)
-
-    def initial_series(self, bound: int) -> S.Series:
-        return S.characteristic(self.bud, [self.bud.unit(c) for c in self.initial],
-                                bound)
-
-    def terminal_series(self, bound: int) -> S.Series:
-        return S.characteristic(self.bud, [self.bud.unit(c) for c in self.terminal],
-                                bound)
+        """The rules of arity <= bound; a tree holding a larger rule has a
+        larger arity, so truncation drops those rules."""
+        return S.characteristic(
+            self.bud, [r for r in self.rules if self.bud.arity(r) <= bound],
+            bound)
 
     def _filtered(self, middle: S.Series, bound: int) -> S.Series:
-        left = S.compose_prod(self.initial_series(bound), middle)
-        return S.compose_prod(left, self.terminal_series(bound))
+        """i (.) middle (.) t: the terms whose output color is initial and
+        whose input colors are all terminal."""
+        initial = set(self.initial)
+        terminal = set(self.terminal)
+        return S.Series(self.bud, bound, {
+            x: c for x, c in middle.coeffs.items()
+            if x[0] in initial and terminal.issuperset(x[2])})
 
     def hook_series(self, bound: int) -> S.Series:
         key = ("hook", bound)
@@ -136,7 +137,7 @@ class BudSystem:
             out_r = self.bud.out(r)
             for i in range(1, len(ins) + 1):
                 if ins[i - 1] == out_r:
-                    result[self.bud.compose(x, i, r)] += 1
+                    result[self.bud._compose(x, i, r)] += 1
         return result
 
     def sync_successors(self, x) -> Counter:
@@ -152,7 +153,7 @@ class BudSystem:
 
         def assign(j: int, picks: list) -> None:
             if j == len(pools):
-                result[self.bud.full_compose(x, picks)] += 1
+                result[self.bud._full_compose(x, picks)] += 1
                 return
             for r in pools[j]:
                 picks.append(r)
@@ -281,11 +282,18 @@ def system_to_json(system: BudSystem) -> dict:
 
 
 def system_from_json(data: dict) -> BudSystem:
-    ground = ground_from_json(data["ground"])
-    rules = [(r["out"], ground.loads(r["elem"]), tuple(r["ins"]))
-             for r in data["rules"]]
-    return BudSystem(ground, data["colors"], rules,
-                     data["initial"], data["terminal"])
+    """Build a system from its JSON form; a missing field, or a field of
+    the wrong type, raises BudgenError."""
+    try:
+        ground = ground_from_json(data["ground"])
+        rules = [(r["out"], ground.loads(r["elem"]), tuple(r["ins"]))
+                 for r in data["rules"]]
+        return BudSystem(ground, data["colors"], rules,
+                         data["initial"], data["terminal"])
+    except KeyError as exc:
+        raise BudgenError("malformed system file: missing field %s" % exc)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise BudgenError("malformed system file: %s" % exc)
 
 
 def system_dumps(system: BudSystem) -> str:

@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 from budgen.cli import cli
@@ -124,6 +125,31 @@ def test_exit_code_divergence(tmp_path):
     proc = run_main(["check", "--system", str(path)])
     assert proc.returncode == 0
     assert "finitely_factorizing=false" in proc.stdout
+
+
+def test_series_drops_rules_above_the_bound():
+    result = run_ok(["series", "--builtin", "btree", "--arities", "2,3,4",
+                     "--max-arity", "3", "--kind", "sync"])
+    assert result.output.splitlines() == [
+        "1 * !1", "1 * a2(*,*)", "1 * a3(*,*,*)"]
+
+
+@pytest.mark.parametrize("field,value", [("rules", None), ("colors", 3)],
+                         ids=["missing-rules", "int-colors"])
+def test_malformed_system_file_is_an_input_error(tmp_path, field, value):
+    data = {"ground": {"kind": "mag", "params": {}}, "colors": ["1"],
+            "rules": [{"out": "1", "elem": "c(*,*)", "ins": ["1", "1"]}],
+            "initial": ["1"], "terminal": ["1"]}
+    if value is None:
+        del data[field]
+    else:
+        data[field] = value
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    proc = run_main(["enumerate", "--system", str(path), "--max-arity", "3"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: malformed system file: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_entry_point_enumerate_matches_runner():

@@ -271,6 +271,25 @@ def test_finitely_factorizing_check():
     assert ok is False
 
 
+@pytest.mark.parametrize("edges,expected", [
+    ([], (True, 0)),
+    ([("1", "a", "2"), ("2", "a", "3"), ("3", "a", "4")], (True, 3)),
+    ([("1", "a", "2"), ("1", "b", "2"), ("2", "a", "3")], (True, 2)),
+    ([("1", "a", "2"), ("3", "a", "3")], (False, -1)),
+    ([("1", "a", "2"), ("2", "b", "1"), ("3", "a", "4")], (False, -1)),
+], ids=["none", "chain3", "parallel", "self-loop", "2-cycle"])
+def test_finitely_factorizing_check_cases(edges, expected):
+    ground = FreeOperad(CollectionSpec(
+        [("a", MONO, (MONO,)), ("b", MONO, (MONO,)), ("c", MONO, (MONO, MONO))]))
+    op = BudOperad(ground, ("1", "2", "3", "4"))
+    rules = [op.element(out, ground.corolla(g), (inp,))
+             for out, g, inp in edges]
+    assert finitely_factorizing_check(op, rules) == expected
+    binary = op.element("1", ground.corolla("c"), ("1", "1"))
+    with pytest.raises(BudgenError):
+        finitely_factorizing_check(op, rules + [binary])
+
+
 def test_degree_bound():
     assert degree_bound(4, 0) == 3
     assert degree_bound(4, 1) == 10

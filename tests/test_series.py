@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import budgen.series as S
-from budgen.core import AsOperad, BudgenError, BudOperad, DivergenceError
+from budgen.core import MONO, AsOperad, BudgenError, BudOperad, DivergenceError
 from budgen.operads import MagOperad, all_treelike, hook_count, st_is_perfect
 
 AS = AsOperad()
@@ -161,6 +161,10 @@ def test_compose_inverse_with_scaled_units():
     inv = S.compose_inverse(f)
     assert S.compose_prod(f, inv) == u
     assert S.compose_prod(inv, f) == u
+    # exact division: 2a = 1 at arity 1, 2b + 3a^2 = 0 at arity 2
+    assert inv.coeff(MAG.unit(MONO)) == Fraction(1, 2)
+    assert inv.coeff(MAG.corolla()) == Fraction(-3, 8)
+    assert all(type(c) is Fraction for c in inv.coeffs.values())
 
 
 def test_compose_inverse_needs_unit_coefficients():

@@ -1,0 +1,116 @@
+"""The checked public compositions and the unchecked path behind them.
+
+The products and derivations compose through `_compose`/`_full_compose`
+once they have matched colors; the public `compose`/`full_compose` must
+still reject bad positions and colors.  Coefficients keep the type of the
+inputs: `int` for the presets, `Fraction` where the input has it or where
+`compose_inverse` divides.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import budgen.series as S
+from budgen.core import MONO, AsOperad, BudOperad, CompositionError, PositionError
+from budgen.operads import (
+    ASchrOperad,
+    CollectionSpec,
+    DiasOperad,
+    FreeOperad,
+    MagOperad,
+    MotzOperad,
+)
+from budgen.systems import BUILTIN_NAMES, builtin
+
+MAG = MagOperad()
+
+GROUNDS = [
+    (AsOperad(), 2, 3),
+    (MAG, MAG.corolla(), MAG.corolla()),
+    (DiasOperad(2), "01", "20"),
+    (MotzOperad(), "H", "UD"),
+    (ASchrOperad(), ASchrOperad().corolla("a"), ASchrOperad().corolla("b")),
+    (FreeOperad(CollectionSpec([("f", MONO, (MONO, MONO))])),
+     ("f", "*", "*"), ("f", "*", "*")),
+]
+
+
+def _preset(name):
+    kwargs = {"bdias": {"gamma": 2}, "btree": {"arities": [2, 3]}}
+    return builtin(name, **kwargs.get(name, {}))
+
+
+@pytest.mark.parametrize("op,x,y", GROUNDS,
+                         ids=[type(g[0]).__name__ for g in GROUNDS])
+def test_ground_compose_rejects_bad_positions(op, x, y):
+    n = op.arity(x)
+    for i in (0, n + 1):
+        with pytest.raises(PositionError):
+            op.compose(x, i, y)
+    with pytest.raises(CompositionError):
+        op.full_compose(x, [y] * (n + 1))
+    assert op.compose(x, n, y) == op._compose(x, n, y)
+    assert op.full_compose(x, [y] * n) == op._full_compose(x, [y] * n)
+
+
+def test_colored_ground_compose_rejects_bad_colors():
+    spec = CollectionSpec([("f", "1", ("1", "2")), ("g", "2", ("1",))])
+    op = FreeOperad(spec)
+    f, g = op.corolla("f"), op.corolla("g")
+    with pytest.raises(CompositionError):
+        op.compose(f, 1, g)
+    with pytest.raises(CompositionError):
+        op.full_compose(f, [g, g])
+    assert op.dumps(op.full_compose(f, [op.unit("1"), g])) == "f(*,g(*))"
+
+
+def test_bud_compose_and_full_compose_reject_bad_input():
+    op = BudOperad(MAG, ("1", "2"))
+    x = op.element("1", MAG.corolla(), ("1", "2"))
+    y1 = op.element("1", MAG.corolla(), ("2", "2"))
+    y2 = op.unit("2")
+    for i in (0, 3):
+        with pytest.raises(PositionError):
+            op.compose(x, i, y1)
+    with pytest.raises(CompositionError):
+        op.compose(x, 2, y1)
+    with pytest.raises(CompositionError):
+        op.full_compose(x, [y1, y1])
+    with pytest.raises(CompositionError):
+        op.full_compose(x, [y1])
+    expect = op.compose(op.compose(x, 2, y2), 1, y1)
+    assert op.full_compose(x, [y1, y2]) == expect
+    assert expect == ("1", MAG.loads("c(c(*,*),*)"), ("2", "2", "2"))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_preset_series_have_int_coefficients(name):
+    system = _preset(name)
+    for kind in ("hook", "synt", "sync"):
+        f = getattr(system, kind + "_series")(4)
+        assert all(type(c) is int for c in f.coeffs.values()), (name, kind)
+
+
+def test_fraction_inputs_keep_fraction_coefficients():
+    f = S.Series(MAG, 4, {MAG.unit(MONO): Fraction(1),
+                          MAG.corolla(): Fraction(1, 2)})
+    for g in (S.pre_lie(f, f), S.compose_prod(f, f), S.compose_inverse(f)):
+        assert g.coeffs
+        assert all(type(c) is Fraction for c in g.coeffs.values())
+    assert S.compose_prod(f, f).coeff(MAG.loads("c(c(*,*),*)")) == \
+        Fraction(1, 4)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_filter_equals_products_with_unit_series(name):
+    system = _preset(name)
+    bud, bound = system.bud, 4
+    i = S.characteristic(bud, [bud.unit(c) for c in system.initial], bound)
+    t = S.characteristic(bud, [bud.unit(c) for c in system.terminal], bound)
+    r = system.rule_series(bound)
+    u = S.units_series(bud, bound)
+    for middle in (S.pre_lie_star(r), S.compose_inverse(S.sub(u, r)),
+                   S.compose_star(r)):
+        expect = S.compose_prod(S.compose_prod(i, middle), t)
+        assert system._filtered(middle, bound) == expect, name

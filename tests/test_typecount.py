@@ -3,6 +3,7 @@ import sympy as sp
 
 import budgen.series as S
 from budgen.core import DivergenceError, MONO
+from budgen.grammars import cfg_to_bud, parse_cfg
 from budgen.operads import MagOperad
 from budgen.systems import BudSystem, builtin
 from budgen.typecount import (
@@ -91,6 +92,13 @@ def test_counting_series_methods():
     counts, method = sync_counting_series(builtin("bbt"), 8)
     assert method == "type-recurrence"
     assert counts == [1, 1, 2, 1, 4, 6, 4, 17]
+
+
+def test_counting_with_a_rule_above_the_probe_bound():
+    system = cfg_to_bud(parse_cfg("S -> a a a a a a\n"))
+    counts, method = lang_counting_series(system, 7)
+    assert counts == [0, 0, 0, 0, 0, 1, 0]
+    assert method == "type-recurrence"
 
 
 def test_solve_synt_system_matches_colt():
