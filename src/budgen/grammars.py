@@ -418,15 +418,6 @@ def sg_bruteforce(sg: Sg, depth: int):
     return result
 
 
-def sg_term_of(system: BudSystem, x):
-    """Rebuild the rule-syntax tree of a synchronous-language element of
-    a compiled synchronous grammar."""
-    _, g, u = x
-    labels = list(u)
-
-    def walk(node):
-        if node == LEAF or node[0] == UNIT_TAG:
-            return (labels.pop(0),)
-        return tuple([node[0]] + [walk(c) for c in node[1:]])
-
-    return walk(g)
+# the rule-syntax tree of a synchronous-language element of a compiled
+# synchronous grammar is rebuilt the same way: labels back at the leaves
+sg_term_of = rtg_term_of

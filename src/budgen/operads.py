@@ -45,11 +45,19 @@ def dumps_term(t) -> str:
     return "%s(%s)" % (name, ",".join(dumps_term(c) for c in children))
 
 
+MAX_TERM_DEPTH = 100  # the tree walks recurse once per level
+
+
 def loads_term(text: str):
+    """Parse a term; nesting deeper than MAX_TERM_DEPTH raises
+    BudgenError."""
     pos = 0
 
-    def parse():
+    def parse(depth: int):
         nonlocal pos
+        if depth > MAX_TERM_DEPTH:
+            raise BudgenError("term nested deeper than %d levels"
+                              % MAX_TERM_DEPTH)
         if pos >= len(text):
             raise BudgenError("unexpected end of term %r" % text)
         if text[pos] == LEAF:
@@ -71,17 +79,17 @@ def loads_term(text: str):
             raise BudgenError("bad term syntax at %d in %r" % (pos, text))
         if pos < len(text) and text[pos] == "(":
             pos += 1
-            children = [parse()]
+            children = [parse(depth + 1)]
             while pos < len(text) and text[pos] == ",":
                 pos += 1
-                children.append(parse())
+                children.append(parse(depth + 1))
             if pos >= len(text) or text[pos] != ")":
                 raise BudgenError("unbalanced parentheses in %r" % text)
             pos += 1
             return tuple([name] + children)
         return (name,)
 
-    t = parse()
+    t = parse(0)
     if pos != len(text):
         raise BudgenError("trailing characters in term %r" % text)
     return t

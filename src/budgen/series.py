@@ -278,11 +278,15 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
         prev = None
         for _ in range(chain + 2):
             cur = dict(base)
+            extra: dict = {}  # out color -> [(n, elem, coeff)] of prev
+            for x, c in (prev or {}).items():
+                if op.arity(x) == n:
+                    extra.setdefault(op.out(x), []).append((n, x, c))
             for y, cy, ins, ay in w_items:
                 if ay > n:
                     continue
                 _accumulate_slice(op, y, sign * cy, ins, final_pools,
-                                  prev or {}, n, cur)
+                                  extra, n, cur)
             if cur == prev:
                 break
             prev = cur
@@ -299,13 +303,11 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
 def _accumulate_slice(op: Operad, y, weight, ins, pools: dict,
                       extra: dict, target: int, acc: dict) -> None:
     """Add weight * (y composed with every pick of total arity `target`)
-    into acc; picks come from pools plus the arity-`target` entries of
-    extra."""
+    into acc; the picks of an input of color c come from pools[c] and
+    then extra[c], both lists of (arity, elem, coeff)."""
     choice_lists = []
     for color in ins:
-        pool = pools.get(color, [])
-        pool = pool + [(target, x, c) for x, c in extra.items()
-                       if op.out(x) == color and op.arity(x) == target]
+        pool = pools.get(color, []) + extra.get(color, [])
         if not pool:
             return
         choice_lists.append(pool)

@@ -191,30 +191,44 @@ class DerivGraph:
         self.vertices = vertices
         self.edges = edges
         self._succ: dict = {}
+        self._paths: dict = {}  # source -> {vertex: path count}
         for (x, y), mult in edges.items():
             self._succ.setdefault(x, []).append((y, mult))
 
     def multipath_count(self, src, dst) -> int:
         """Directed paths from src to dst, counting edge multiplicities."""
-        memo: dict = {}
-        on_stack: set = set()
+        return self._paths_from(src).get(dst, 0)
 
-        def count(v) -> int:
-            if v == dst:
-                return 1
-            if v in memo:
-                return memo[v]
-            if v in on_stack:
-                raise BudgenError("derivation graph has a cycle")
-            on_stack.add(v)
-            total = 0
-            for w, mult in self._succ.get(v, []):
-                total += mult * count(w)
-            on_stack.discard(v)
-            memo[v] = total
-            return total
-
-        return count(src)
+    def _paths_from(self, src) -> dict:
+        """Path counts from src to every vertex it reaches, in one pass
+        over a topological order; cached per source.  A cycle reachable
+        from src raises BudgenError."""
+        table = self._paths.get(src)
+        if table is not None:
+            return table
+        order = []
+        done = {src: False}  # False while on the DFS stack
+        stack = [(src, iter(self._succ.get(src, ())))]
+        while stack:
+            v, edges = stack[-1]
+            for w, _ in edges:
+                if w not in done:
+                    done[w] = False
+                    stack.append((w, iter(self._succ.get(w, ()))))
+                    break
+                if not done[w]:
+                    raise BudgenError("derivation graph has a cycle")
+            else:
+                stack.pop()
+                done[v] = True
+                order.append(v)
+        table = {src: 1}
+        for v in reversed(order):
+            count = table.get(v, 0)
+            for w, mult in self._succ.get(v, ()):
+                table[w] = table.get(w, 0) + mult * count
+        self._paths[src] = table
+        return table
 
     def to_dot(self) -> str:
         op = self.system.bud

@@ -10,11 +10,9 @@ system of truncated polynomial equations in one variable per color.
 from __future__ import annotations
 
 import math
-
-import sympy as sp
+from itertools import product
 
 from .core import BudgenError, DivergenceError, type_of
-from .operads import degree_bound
 from .systems import BudSystem
 
 
@@ -39,23 +37,6 @@ def chi_table(system: BudSystem) -> dict:
     return system._cache[key]
 
 
-def y_symbols(system: BudSystem) -> dict:
-    return {c: sp.Symbol("y_%s" % c) for c in system.colors}
-
-
-def g_poly(system: BudSystem) -> dict:
-    """Rule-generating polynomials: g_a = sum over rules with output a of
-    the product of y_c over the rule inputs c."""
-    ys = y_symbols(system)
-    g = {c: sp.Integer(0) for c in system.colors}
-    for r in system.rules:
-        mono = sp.Integer(1)
-        for c in r[2]:
-            mono *= ys[c]
-        g[r[0]] += mono
-    return g
-
-
 # ---------------------------------------------------------------------------
 # type-indexed recurrences
 
@@ -78,14 +59,7 @@ def _fits(beta, alpha) -> bool:
 
 def _vectors_below(bound):
     """All componentwise-nonnegative vectors <= bound, excluding zero."""
-    if not bound:
-        return
-    vecs = [()]
-    for b in bound:
-        vecs = [v + (i,) for v in vecs for i in range(b + 1)]
-    for v in vecs:
-        if _nonzero(v):
-            yield v
+    return [v for v in product(*[range(b + 1) for b in bound]) if _nonzero(v)]
 
 
 def _multisets(k: int, bound, ceiling=None):
@@ -196,7 +170,7 @@ def colt_sync_coeff(system: BudSystem, color: str, alpha) -> int:
                 if _nonzero(remaining) or not any(beta):
                     return 0
                 for counts in phi_by_color.values():
-                    weight_here = _multiplicity_factor_list(counts)
+                    weight_here = multiset_factorial(counts)
                     if weight_here != 1:
                         weight *= weight_here
                 return weight * rec(a, tuple(beta))
@@ -228,32 +202,30 @@ def colt_sync_coeff(system: BudSystem, color: str, alpha) -> int:
     return rec(color, alpha)
 
 
-def _multiplicity_factor_list(counts) -> int:
-    counts = [c for c in counts if c > 0]
-    return multiset_factorial(counts)
-
-
 # ---------------------------------------------------------------------------
 # counting series of the (synchronous) language
+
+
+def _compositions(n: int, k: int):
+    """All k-tuples of nonnegative ints that sum to n."""
+    if k == 1:
+        yield (n,)
+        return
+    for v in range(n + 1):
+        for rest in _compositions(n - v, k - 1):
+            yield (v,) + rest
 
 
 def _terminal_types(system: BudSystem, n: int):
     """All types of degree n supported on the terminal colors."""
     idxs = [system.colors.index(c) for c in system.terminal]
-
-    def go(remaining: int, pos: int):
-        if pos == len(idxs) - 1:
-            yield {idxs[pos]: remaining}
-            return
-        for v in range(remaining + 1):
-            for rest in go(remaining - v, pos + 1):
-                rest[idxs[pos]] = v
-                yield rest
-
     if not idxs:
         return
-    for assign in go(n, 0):
-        yield tuple(assign.get(i, 0) for i in range(len(system.colors)))
+    for parts in _compositions(n, len(idxs)):
+        alpha = [0] * len(system.colors)
+        for i, v in zip(idxs, parts):
+            alpha[i] = v
+        yield tuple(alpha)
 
 
 PROBE_BOUND = 5
@@ -298,75 +270,111 @@ def sync_counting_series(system: BudSystem, bound: int):
 
 
 # ---------------------------------------------------------------------------
-# functional systems on truncated polynomials
+# functional systems on truncated integer polynomials: dicts from exponent
+# tuples to ints, turned into sympy expressions (and sympy imported) only
+# on return
 
 
-def _truncate(expr, syms, bound: int):
-    expr = sp.expand(expr)
-    if not syms:
-        return expr
-    poly = sp.Poly(expr, *syms)
-    kept = sp.Integer(0)
-    for monom, c in poly.terms():
-        if sum(monom) <= bound:
-            term = c
-            for s, e in zip(syms, monom):
-                term *= s ** e
-            kept += term
-    return sp.expand(kept)
+def _as_sympy(poly: dict, syms):
+    """The sympy expression of an integer polynomial in the symbols syms."""
+    import sympy as sp
+    return sp.Add(*[sp.Mul(sp.Integer(c),
+                           *[s ** e for s, e in zip(syms, m) if e])
+                    for m, c in poly.items()])
 
 
-def _iteration_cap(system: BudSystem, bound: int) -> int:
-    ok, chain = system.ff_check()
+def y_symbols(system: BudSystem) -> dict:
+    import sympy as sp
+    return {c: sp.Symbol("y_%s" % c) for c in system.colors}
+
+
+def _in_y(system: BudSystem, polys: dict) -> dict:
+    """{color: polynomial} as {color: sympy expression in the y_c}."""
+    ys = y_symbols(system)
+    syms = [ys[c] for c in system.colors]
+    return {c: _as_sympy(polys[c], syms) for c in system.colors}
+
+
+def _g_polys(system: BudSystem) -> dict:
+    """g_a as integer polynomials: the rule counts of chi_table."""
+    chi = chi_table(system)
+    return {a: {tau: n for (out, tau), n in chi.items() if out == a}
+            for a in system.colors}
+
+
+def g_poly(system: BudSystem) -> dict:
+    """Rule-generating polynomials: g_a = sum over rules with output a of
+    the product of y_c over the rule inputs c."""
+    return _in_y(system, _g_polys(system))
+
+
+def _mul(p: dict, q: dict, bound: int) -> dict:
+    """p * q without the monomials of total degree above bound."""
+    out: dict = {}
+    q_items = [(m, c, sum(m)) for m, c in q.items()]
+    for m1, c1 in p.items():
+        d1 = sum(m1)
+        for m2, c2, d2 in q_items:
+            if d1 + d2 > bound:
+                continue
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _from_recurrence(system: BudSystem, bound: int, coeff) -> dict:
+    """f_a = sum over the types 1 <= |alpha| <= bound of
+    coeff(system, a, alpha) * y^alpha."""
+    ok, _ = system.ff_check()
     if not ok:
         raise DivergenceError("arity-1 rules admit a color cycle")
-    return degree_bound(bound, chain) + 2
+    types = [alpha for n in range(1, bound + 1)
+             for alpha in _compositions(n, len(system.colors))]
+    return _in_y(system, {
+        a: {alpha: c for alpha in types if (c := coeff(system, a, alpha))}
+        for a in system.colors})
 
 
 def solve_synt_system(system: BudSystem, bound: int) -> dict:
     """Fixpoint of f_a = y_a + g_a(f_c1, .., f_ck), truncated at total
-    degree `bound`.  f_a counts treelike expressions by leaf colors."""
-    ys = y_symbols(system)
-    syms = [ys[c] for c in system.colors]
-    g = g_poly(system)
-    cap = _iteration_cap(system, bound)
-    f = {c: ys[c] for c in system.colors}
-    for _ in range(cap):
-        subs = [(ys[c], f[c]) for c in system.colors]
-        nxt = {c: _truncate(ys[c] + g[c].subs(subs, simultaneous=True),
-                            syms, bound)
-               for c in system.colors}
-        if nxt == f:
-            return f
-        f = nxt
-    raise DivergenceError("functional system did not stabilize")
+    degree `bound`.  f_a counts treelike expressions by leaf colors, so
+    its coefficients are the type recurrence colt_synt_coeff."""
+    return _from_recurrence(system, bound, colt_synt_coeff)
+
+
+def solve_sync_system(system: BudSystem, bound: int) -> dict:
+    """Fixpoint of f_a = y_a + f_a(g_c1, .., g_ck), truncated at total
+    degree `bound`.  f_a counts perfect expressions by leaf colors, so
+    its coefficients are the type recurrence colt_sync_coeff."""
+    return _from_recurrence(system, bound, colt_sync_coeff)
 
 
 def sync_iterates(system: BudSystem, ell: int, bound: int) -> list:
     """Iterates f^(0)_a = y_a, f^(l)_a = y_a + f^(l-1)_a(g_c1, .., g_ck),
     each truncated at total degree `bound`."""
-    ys = y_symbols(system)
-    syms = [ys[c] for c in system.colors]
-    g = g_poly(system)
-    subs = [(ys[c], g[c]) for c in system.colors]
-    f = {c: ys[c] for c in system.colors}
-    out = [dict(f)]
-    for _ in range(ell):
-        f = {c: _truncate(ys[c] + f[c].subs(subs, simultaneous=True),
-                          syms, bound)
-             for c in system.colors}
-        out.append(dict(f))
-    return out
+    colors = system.colors
+    g = _g_polys(system)
+    one = (0,) * len(colors)
+    images = {one: {one: 1}}  # y^beta -> prod of g_c^beta_c, truncated
 
-def solve_sync_system(system: BudSystem, bound: int) -> dict:
-    """Fixpoint of f_a = y_a + f_a(g_c1, .., g_ck), truncated at total
-    degree `bound`.  f_a counts perfect expressions by leaf colors."""
-    cap = _iteration_cap(system, bound)
-    iterates = sync_iterates(system, cap, bound)
-    for prev, cur in zip(iterates, iterates[1:]):
-        if prev == cur:
-            return cur
-    raise DivergenceError("functional system did not stabilize")
+    def image(beta: tuple) -> dict:
+        if beta not in images:
+            i = next(i for i, e in enumerate(beta) if e)
+            lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            images[beta] = _mul(image(lower), g[colors[i]], bound)
+        return images[beta]
+
+    iterates = [{c: {_unit_type(system, c): 1} for c in colors}]
+    for _ in range(ell):
+        nxt = {}
+        for a, poly in iterates[-1].items():
+            new = {_unit_type(system, a): 1} if bound >= 1 else {}
+            for beta, coeff in poly.items():
+                for m, v in image(beta).items():
+                    new[m] = new.get(m, 0) + coeff * v
+            nxt[a] = new
+        iterates.append(nxt)
+    return [_in_y(system, f) for f in iterates]
 
 
 # ---------------------------------------------------------------------------
@@ -378,38 +386,29 @@ def refined_perfect(bound: int) -> dict:
     monomial prod q_b^(d_b) counts perfect trees with n leaves built by
     repeatedly substituting, at every leaf at once, corollas whose last
     layer uses d_b corollas of arity b.  Returns {n: polynomial}."""
-    q = {b: sp.Symbol("q_%d" % b) for b in range(2, bound + 1)}
-    s = {1: sp.Integer(1)}
+    import sympy as sp
 
-    def layer_vectors(n: int):
-        # (d_b)_{b>=2} with sum b*d_b = n and d nonzero
-        def go(b: int, remaining: int):
-            if remaining == 0:
-                yield {}
-                return
-            if b > remaining:
-                return
-            for d in range(remaining // b + 1):
-                for rest in go(b + 1, remaining - b * d):
-                    if d:
-                        rest = dict(rest)
-                        rest[b] = d
-                    yield rest
+    def layers(n: int, b: int):
+        # (d_b, .., d_bound) with sum of b' * d_b' = n
+        if n == 0 or b > bound:
+            if n == 0:
+                yield (0,) * (bound + 1 - b)
+            return
+        for d in range(n // b + 1):
+            for rest in layers(n - b * d, b + 1):
+                yield (d,) + rest
 
-        for vec in go(2, n):
-            if vec:
-                yield vec
-
+    s = {1: {(0,) * (bound - 1): 1}}
     for n in range(2, bound + 1):
-        total = sp.Integer(0)
-        for vec in layer_vectors(n):
-            m = sum(vec.values())
-            term = sp.Integer(multiset_factorial(vec.values()))
-            for b, d in vec.items():
-                term *= q[b] ** d
-            total += term * s[m]
-        s[n] = sp.expand(total)
-    return s
+        total: dict = {}
+        for layer in layers(n, 2):
+            weight = multiset_factorial(layer)
+            for m, c in s[sum(layer)].items():
+                key = tuple(a + b for a, b in zip(layer, m))
+                total[key] = total.get(key, 0) + weight * c
+        s[n] = total
+    q = [sp.Symbol("q_%d" % b) for b in range(2, bound + 1)]
+    return {n: _as_sympy(poly, q) for n, poly in s.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -158,3 +158,26 @@ def test_entry_point_enumerate_matches_runner():
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines() == [
         "1 1", "2 1", "3 2", "4 5", "5 14", "6 42"]
+
+
+def test_deeply_nested_term_is_an_input_error(tmp_path):
+    elem = "*"
+    for _ in range(3000):
+        elem = "c(%s,*)" % elem
+    data = {"ground": {"kind": "mag", "params": {}}, "colors": ["1"],
+            "rules": [{"out": "1", "elem": elem, "ins": ["1"] * 3001}],
+            "initial": ["1"], "terminal": ["1"]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(data))
+    proc = run_main(["enumerate", "--system", str(path), "--max-arity", "3"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: term nested deeper than ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_does_not_load_sympy():
+    code = "import sys, budgen.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

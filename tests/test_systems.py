@@ -167,3 +167,28 @@ def test_empty_initial_gives_zero_series():
     c = ground.corolla()
     system = BudSystem(ground, ("1",), [("1", c, ("1", "1"))], (), ("1",))
     assert system.synt_series(4).support() == set()
+
+
+def test_multipath_count_on_a_cyclic_graph_raises():
+    leaf = MagOperad().unit(MONO)
+    cyclic = BudSystem(MagOperad(), ("1", "2"),
+                       [("1", leaf, ("2",)), ("2", leaf, ("1",))],
+                       ("1",), ("1",))
+    graph = cyclic.derivation_graph(2)
+    src = cyclic.bud.unit("1")
+    for x in graph.vertices:
+        with pytest.raises(BudgenError):
+            graph.multipath_count(src, x)
+
+
+def test_multipath_count_from_every_source():
+    # the table of one source does not leak into the counts of another
+    bd = builtin("bdias", gamma=1)
+    graph = bd.derivation_graph(4)
+    src = bd.bud.unit(MONO)
+    for x in graph.vertices:
+        assert graph.multipath_count(x, x) == 1
+        assert graph.multipath_count(x, src) == (1 if x == src else 0)
+    # counted after every other source's table is cached
+    for x, c in bd.hook_series(4).coeffs.items():
+        assert graph.multipath_count(src, x) == c

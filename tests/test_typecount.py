@@ -149,3 +149,48 @@ def test_hook_triangle_first_rows():
     # row symmetry
     for row in rows:
         assert row == row[::-1]
+
+
+def _coefficient_table(system, f):
+    """{(color, type): coefficient} of a solved functional system."""
+    ys = [sp.Symbol("y_%s" % c) for c in system.colors]
+    table = {}
+    for color in system.colors:
+        for monom, coeff in sp.Poly(f[color], *ys).terms():
+            if coeff:
+                table[(color, monom)] = coeff
+    return table
+
+
+@pytest.mark.parametrize("name", ["bbt", "b1", "b2", "bbu"])
+def test_solve_systems_match_series_colt_tables(name):
+    # the series engine is an oracle independent of the type recurrence
+    system = builtin(name)
+    for bound in range(1, 6):
+        synt = _coefficient_table(system, solve_synt_system(system, bound))
+        sync = _coefficient_table(system, solve_sync_system(system, bound))
+        r = system.rule_series(bound)
+        u = S.units_series(system.bud, bound)
+        assert synt == S.colt_table(S.compose_inverse(S.sub(u, r)))
+        assert sync == S.colt_table(S.compose_star(r))
+        # and the filtered system series pick out their part of f
+        for table, series in [(synt, system.synt_series(bound)),
+                              (sync, system.sync_series(bound))]:
+            filtered = {(a, alpha): c for (a, alpha), c in table.items()
+                        if a in system.initial
+                        and all(alpha[i] == 0
+                                for i, col in enumerate(system.colors)
+                                if col not in system.terminal)}
+            assert filtered == S.colt_table(series)
+
+
+def test_solve_systems_diverge_on_color_cycle():
+    ground = MagOperad()
+    leaf = ground.unit(MONO)
+    cyclic = BudSystem(ground, ("1", "2"),
+                       [("1", leaf, ("2",)), ("2", leaf, ("1",))],
+                       ("1",), ("1",))
+    with pytest.raises(DivergenceError):
+        solve_synt_system(cyclic, 3)
+    with pytest.raises(DivergenceError):
+        solve_sync_system(cyclic, 3)
