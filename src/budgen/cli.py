@@ -201,7 +201,7 @@ def main():
         sys.exit(1)
     except click.exceptions.Abort:
         sys.exit(1)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         click.echo("error: %s" % exc, err=True)
         sys.exit(1)
 

@@ -353,9 +353,9 @@ class ASchrOperad(Operad):
                 continue
             for arity in range(2, n + 1):
                 for split in _compositions(n, arity):
-                    for children in _mixed_products(
-                            [list(self._elements(m, label)) for m in split]):
-                        yield tuple([label] + children)
+                    for children in product(
+                            *[self._elements(m, label) for m in split]):
+                        yield (label,) + children
 
 
 def _compositions(n: int, parts: int):
@@ -367,15 +367,6 @@ def _compositions(n: int, parts: int):
     for first in range(1, n - parts + 2):
         for rest in _compositions(n - first, parts - 1):
             yield (first,) + rest
-
-
-def _mixed_products(pools):
-    if not pools:
-        yield []
-        return
-    for head in pools[0]:
-        for tail in _mixed_products(pools[1:]):
-            yield [head] + tail
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +536,8 @@ class FreeOperad(Operad):
                     pool.extend(t for t in self._elements(m, c)
                                 if t[0] != UNIT_TAG)
                     pools.append(pool)
-                for children in _mixed_products(pools):
-                    yield tuple([name] + children)
+                for children in product(*pools):
+                    yield (name,) + children
 
 
 def capped_tree_operad(cap: int) -> FreeOperad:

@@ -4,8 +4,10 @@ Coefficients are exact scalars: `int` when the inputs are integral, and
 `Fraction` where `compose_inverse` divides (anything with ring semantics
 works).  Every operation takes or propagates an arity bound N:
 coefficients at arity <= N are exact and higher arities are absent.  The
-star and inverse operations iterate to a fixpoint with a certified
-iteration cap derived from the finitely-factorizing degree bound.
+stars are solved by increments over the whole series, and the
+composition inverse slice by slice, by increments within each arity
+slice; both stop within a certified cap derived from the longest
+arity-1 color chain.
 """
 
 from __future__ import annotations
@@ -133,43 +135,54 @@ def compose_prod(f: Series, g: Series, bound: int | None = None) -> Series:
     _check_compat(f, g)
     op = f.operad
     n_max = bound if bound is not None else f.bound
-    by_color: dict = {}
-    for z, cz in g.coeffs.items():
-        by_color.setdefault(op.out(z), []).append((op.arity(z), z, cz))
-    for pool in by_color.values():
-        pool.sort(key=lambda item: (item[0], op.dumps(item[1])))
+    pools = _pools(op, g.coeffs.items())
     coeffs: dict = {}
     for y, cy in f.coeffs.items():
-        ins = op.ins(y)
-        pools = []
-        empty = False
-        for c in ins:
-            pool = by_color.get(c)
-            if not pool:
-                empty = True
-                break
-            pools.append(pool)
-        if empty:
-            continue
-        min_rest = [0] * (len(pools) + 1)
-        for j in range(len(pools) - 1, -1, -1):
-            min_rest[j] = min_rest[j + 1] + pools[j][0][0]
-        picks: list = []
-
-        def assign(j: int, acc_arity: int, weight) -> None:
-            if j == len(pools):
-                x = op._full_compose(y, picks)
-                coeffs[x] = coeffs.get(x, ZERO) + weight
-                return
-            for az, z, cz in pools[j]:
-                if acc_arity + az + min_rest[j + 1] > n_max:
-                    break
-                picks.append(z)
-                assign(j + 1, acc_arity + az, weight * cz)
-                picks.pop()
-
-        assign(0, 0, cy)
+        _substitute(op, y, cy, pools, 1, n_max, coeffs)
     return Series(op, n_max, coeffs)
+
+
+def _pools(op: Operad, items) -> dict:
+    """out color -> [(arity, elem, coeff)], sorted by arity."""
+    pools: dict = {}
+    for z, cz in items:
+        pools.setdefault(op.out(z), []).append((op.arity(z), z, cz))
+    for pool in pools.values():
+        pool.sort(key=lambda item: item[0])
+    return pools
+
+
+def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
+                acc: dict) -> None:
+    """Add weight * (y composed with one pick per input) into acc, for
+    every pick of total arity in lo..hi; an input of color c picks from
+    pools[c], a list of (arity, elem, coeff) sorted by arity."""
+    choices = [pools.get(c) for c in op.ins(y)]
+    if not all(choices):
+        return
+    m = len(choices)
+    min_rest = [0] * (m + 1)
+    max_rest = [0] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        min_rest[j] = min_rest[j + 1] + choices[j][0][0]
+        max_rest[j] = max_rest[j + 1] + choices[j][-1][0]
+    picks: list = []
+
+    def assign(j: int, arity: int, w) -> None:
+        if j == m:
+            x = op._full_compose(y, picks)
+            acc[x] = acc.get(x, ZERO) + w
+            return
+        for az, z, cz in choices[j]:
+            if arity + az + min_rest[j + 1] > hi:
+                break
+            if arity + az + max_rest[j + 1] < lo:
+                continue
+            picks.append(z)
+            assign(j + 1, arity + az, w * cz)
+            picks.pop()
+
+    assign(0, 0, weight)
 
 
 def _star(f: Series, product, what: str) -> Series:
@@ -222,8 +235,8 @@ def compose_inverse(f: Series) -> Series:
     Requires the support of f to be the units plus a set S whose arity-1
     part is finitely factorizing, with nonzero unit coefficients.  The
     coefficients are the alternating sums over S-syntax trees, computed
-    as the fixpoint of V = u - W (.) V where W carries the unit-normalized
-    weights of S.
+    as the fixpoint of V = u + W (.) V where W carries the negated,
+    unit-normalized weights of S.
     """
     op = f.operad
     unit_coeff = {}
@@ -243,12 +256,12 @@ def compose_inverse(f: Series) -> Series:
         denom = ONE
         for a in op.ins(x):
             denom = denom * unit_coeff[a]
-        weights[x] = _divide(c, denom)
+        weights[x] = _divide(-c, denom)
     s1 = [x for x in weights if op.arity(x) == 1]
     ok, chain = finitely_factorizing_check(op, s1)
     if not ok:
         raise DivergenceError("composition inverse diverges: color cycle")
-    current = _graded_tree_sum(op, weights, f.bound, chain, negate=True)
+    current = _graded_tree_sum(op, weights, f.bound, chain)
     return Series(op, f.bound, {x: _divide(c, unit_coeff[op.out(x)])
                                 for x, c in current.coeffs.items()})
 
@@ -263,76 +276,38 @@ def _divide(c, d):
     return c / d
 
 
-def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
-                     negate: bool) -> Series:
-    """Solve V = u - W (.) V (or V = u + W (.) V) arity slice by arity
-    slice.  A slice depends on itself only through arity-1 supports of W,
-    which the finitely-factorizing chain bound makes nilpotent, so each
-    slice stabilizes within chain + 2 inner rounds."""
-    sign = -ONE if negate else ONE
-    w_items = [(y, cy, op.ins(y), op.arity(y)) for y, cy in weights.items()]
-    final_pools: dict = {}  # out color -> [(arity, elem, coeff)], arity-sorted
+def _graded_tree_sum(op: Operad, weights: dict, bound: int,
+                     chain: int) -> Series:
+    """Solve V = u + W (.) V arity slice by arity slice.  Slice n starts
+    from the units (n = 1) and the roots of arity >= 2 over the finished
+    slices; the terms with an arity-1 root are then added by increments,
+    which the finitely-factorizing chain bound makes vanish within
+    chain + 1 rounds."""
+    w1 = [(y, cy) for y, cy in weights.items() if op.arity(y) == 1]
+    wide = [(y, cy) for y, cy in weights.items() if op.arity(y) > 1]
+    pools: dict = {}  # out color -> [(arity, elem, coeff)] of the finished slices
     v_coeffs: dict = {}
     for n in range(1, bound + 1):
-        base = {op.unit(c): ONE for c in op.colors} if n == 1 else {}
-        prev = None
+        delta = {op.unit(c): ONE for c in op.colors} if n == 1 else {}
+        for y, cy in wide:
+            _substitute(op, y, cy, pools, n, n, delta)
+        terms: dict = {}
         for _ in range(chain + 2):
-            cur = dict(base)
-            extra: dict = {}  # out color -> [(n, elem, coeff)] of prev
-            for x, c in (prev or {}).items():
-                if op.arity(x) == n:
-                    extra.setdefault(op.out(x), []).append((n, x, c))
-            for y, cy, ins, ay in w_items:
-                if ay > n:
-                    continue
-                _accumulate_slice(op, y, sign * cy, ins, final_pools,
-                                  extra, n, cur)
-            if cur == prev:
+            if not delta:
                 break
-            prev = cur
+            for x, c in delta.items():
+                terms[x] = terms.get(x, ZERO) + c
+            delta_pools = _pools(op, delta.items())
+            delta = {}
+            for y, cy in w1:
+                _substitute(op, y, cy, delta_pools, n, n, delta)
         else:
             raise DivergenceError("composition inverse did not stabilize")
-        for x, c in prev.items():
-            if c == 0:
-                continue
-            v_coeffs[x] = c
-            final_pools.setdefault(op.out(x), []).append((n, x, c))
+        for x, c in terms.items():
+            if c != 0:
+                v_coeffs[x] = c
+                pools.setdefault(op.out(x), []).append((n, x, c))
     return Series(op, bound, v_coeffs)
-
-
-def _accumulate_slice(op: Operad, y, weight, ins, pools: dict,
-                      extra: dict, target: int, acc: dict) -> None:
-    """Add weight * (y composed with every pick of total arity `target`)
-    into acc; the picks of an input of color c come from pools[c] and
-    then extra[c], both lists of (arity, elem, coeff)."""
-    choice_lists = []
-    for color in ins:
-        pool = pools.get(color, []) + extra.get(color, [])
-        if not pool:
-            return
-        choice_lists.append(pool)
-    min_rest = [0] * (len(choice_lists) + 1)
-    max_rest = [0] * (len(choice_lists) + 1)
-    for j in range(len(choice_lists) - 1, -1, -1):
-        min_rest[j] = min_rest[j + 1] + choice_lists[j][0][0]
-        max_rest[j] = max_rest[j + 1] + choice_lists[j][-1][0]
-    picks: list = []
-
-    def assign(j: int, acc_arity: int, w) -> None:
-        if j == len(choice_lists):
-            x = op._full_compose(y, picks)
-            acc[x] = acc.get(x, ZERO) + w
-            return
-        for az, z, cz in choice_lists[j]:
-            if acc_arity + az + min_rest[j + 1] > target:
-                break
-            if acc_arity + az + max_rest[j + 1] < target:
-                continue
-            picks.append(z)
-            assign(j + 1, acc_arity + az, w * cz)
-            picks.pop()
-
-    assign(0, 0, weight)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import product
 from typing import Iterable, Sequence
 
 from .core import MONO, BudgenError, BudOperad, Operad
@@ -142,26 +143,9 @@ class BudSystem:
 
     def sync_successors(self, x) -> Counter:
         """One-step synchronous derivations x -> x o [r_1..r_n]."""
-        ins = self.bud.ins(x)
-        pools = []
-        for c in ins:
-            pool = [r for r in self.rules if self.bud.out(r) == c]
-            if not pool:
-                return Counter()
-            pools.append(pool)
-        result: Counter = Counter()
-
-        def assign(j: int, picks: list) -> None:
-            if j == len(pools):
-                result[self.bud._full_compose(x, picks)] += 1
-                return
-            for r in pools[j]:
-                picks.append(r)
-                assign(j + 1, picks)
-                picks.pop()
-
-        assign(0, [])
-        return result
+        pools = [[r for r in self.rules if self.bud.out(r) == c]
+                 for c in self.bud.ins(x)]
+        return Counter(self.bud._full_compose(x, p) for p in product(*pools))
 
     def derivation_graph(self, bound: int, synchronous: bool = False):
         """BFS closure from the initial units, restricted to arity <= bound."""
@@ -295,15 +279,24 @@ def system_to_json(system: BudSystem) -> dict:
     }
 
 
+def _color_list(value, field: str) -> list:
+    """A list of colors; a string would otherwise split into letters."""
+    if not isinstance(value, list):
+        raise BudgenError("malformed system file: %s must be a list" % field)
+    return value
+
+
 def system_from_json(data: dict) -> BudSystem:
     """Build a system from its JSON form; a missing field, or a field of
     the wrong type, raises BudgenError."""
     try:
         ground = ground_from_json(data["ground"])
-        rules = [(r["out"], ground.loads(r["elem"]), tuple(r["ins"]))
+        rules = [(r["out"], ground.loads(r["elem"]),
+                  tuple(_color_list(r["ins"], "ins")))
                  for r in data["rules"]]
-        return BudSystem(ground, data["colors"], rules,
-                         data["initial"], data["terminal"])
+        return BudSystem(ground, _color_list(data["colors"], "colors"), rules,
+                         _color_list(data["initial"], "initial"),
+                         _color_list(data["terminal"], "terminal"))
     except KeyError as exc:
         raise BudgenError("malformed system file: missing field %s" % exc)
     except (TypeError, ValueError, AttributeError) as exc:

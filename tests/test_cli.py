@@ -175,6 +175,24 @@ def test_deeply_nested_term_is_an_input_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_series_too_deep_to_print_is_an_input_error(tmp_path):
+    # the rule is within the nesting limit, but its compositions are not
+    elem = "b(*,*)"
+    for _ in range(99):
+        elem = "u(%s)" % elem
+    gens = [{"name": "u", "arity": 1}, {"name": "b", "arity": 2}]
+    data = {"ground": {"kind": "free", "params": {"generators": gens}},
+            "colors": ["1"],
+            "rules": [{"out": "1", "elem": elem, "ins": ["1", "1"]}],
+            "initial": ["1"], "terminal": ["1"]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(data))
+    proc = run_main(["series", "--system", str(path), "--max-arity", "5"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: maximum recursion depth exceeded")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_import_does_not_load_sympy():
     code = "import sys, budgen.cli; print('sympy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code],

@@ -1,0 +1,111 @@
+"""Differential test: the series of small random systems against the
+brute-force syntax-tree oracle `all_treelike`, and the type recurrences
+against the colt pushforward of the series.
+
+The systems have 1-3 colors over AsOperad, MagOperad or a random
+FreeOperad signature, arity-1 rules only from a lower to a higher color
+(so they are finitely factorizing), and rules up to one above the bound.
+"""
+
+from itertools import product
+
+from hypothesis import given, settings, strategies as st
+
+import budgen.series as S
+from budgen.core import MONO, AsOperad
+from budgen.operads import (
+    CollectionSpec,
+    FreeOperad,
+    MagOperad,
+    all_treelike,
+    degree_bound,
+    hook_count,
+    st_is_perfect,
+)
+from budgen.systems import BudSystem
+from budgen.typecount import colt_synt_coeff, colt_sync_coeff
+
+MAX_BOUND = 4
+
+
+def _free_ground(arities):
+    """A free operad on generators g0, g1, ... of the given arities, and
+    its elements of arity <= MAX_BOUND + 1 with at most two generators."""
+    gens = [("g%d" % k, MONO, (MONO,) * a) for k, a in enumerate(arities)]
+    ground = FreeOperad(CollectionSpec(gens, colors=(MONO,)))
+    corollas = [ground.corolla(name) for name, _, _ in gens]
+    elements = [ground.unit(MONO)] + corollas
+    elements += [ground.compose(x, 1, y) for x in corollas for y in corollas]
+    return ground, elements
+
+
+@st.composite
+def random_systems(draw):
+    bound = draw(st.integers(1, MAX_BOUND))
+    kind = draw(st.sampled_from(["as", "mag", "free"]))
+    if kind == "as":
+        ground = AsOperad()
+        elements = list(range(1, MAX_BOUND + 2))
+    elif kind == "mag":
+        ground = MagOperad()
+        elements = [t for n in range(1, MAX_BOUND + 2)
+                    for t in ground.elements(n)]
+    else:
+        arities = [draw(st.integers(2, 3))]
+        arities += draw(st.lists(st.integers(1, 3), max_size=2))
+        ground, elements = _free_ground(arities)
+    by_arity: dict = {}
+    for g in elements:
+        if ground.arity(g) <= bound + 1:
+            by_arity.setdefault(ground.arity(g), []).append(g)
+    colors = tuple(str(c) for c in range(1, draw(st.integers(1, 3)) + 1))
+    rules: dict = {}
+    for k in range(len(colors) - 1):
+        # arity-1 rules go to a higher color, so they are acyclic
+        for _ in range(draw(st.integers(0, 2))):
+            ins = (colors[draw(st.integers(k + 1, len(colors) - 1))],)
+            rules[(colors[k], draw(st.sampled_from(by_arity[1])), ins)] = None
+    wide = sorted(a for a in by_arity if a > 1)
+    for _ in range(draw(st.integers(1, 4)) if wide else 0):
+        arity = draw(st.sampled_from(wide))
+        ins = tuple(draw(st.sampled_from(colors)) for _ in range(arity))
+        rules[(draw(st.sampled_from(colors)),
+               draw(st.sampled_from(by_arity[arity])), ins)] = None
+    initial = draw(st.lists(st.sampled_from(colors), min_size=1, unique=True))
+    terminal = draw(st.lists(st.sampled_from(colors), min_size=1, unique=True))
+    return BudSystem(ground, colors, rules, initial, terminal), bound
+
+
+def _types(k: int, bound: int):
+    """Every color type of k colors with 1..bound inputs."""
+    return [al for al in product(range(bound + 1), repeat=k)
+            if 1 <= sum(al) <= bound]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(random_systems())
+def test_series_of_random_systems_match_the_oracles(case):
+    system, bound = case
+    op = system.bud
+    r = system.rule_series(bound)
+    synt = S.compose_inverse(S.sub(S.units_series(op, bound), r))
+    sync = S.compose_star(r)
+    hook = S.pre_lie_star(r)
+    ok, chain = system.ff_check()
+    assert ok
+    # a tree holding a rule above the bound has an arity above the bound
+    gens = [g for g in system.rules if op.arity(g) <= bound]
+    table = all_treelike(op, gens, bound, degree_bound(bound, chain))
+    support = set(table) | synt.support() | sync.support() | hook.support()
+    for x in support:
+        trees = table.get(x, [])
+        assert synt.coeff(x) == len(trees)
+        assert sync.coeff(x) == sum(1 for t in trees if st_is_perfect(t))
+        assert hook.coeff(x) == sum(hook_count(t) for t in trees)
+    synt_table = S.colt_table(synt)
+    sync_table = S.colt_table(sync)
+    for color in system.colors:
+        for alpha in _types(len(system.colors), bound):
+            key = (color, alpha)
+            assert colt_synt_coeff(system, color, alpha) == synt_table.get(key, 0)
+            assert colt_sync_coeff(system, color, alpha) == sync_table.get(key, 0)

@@ -8,6 +8,7 @@ from budgen.systems import (
     BudSystem,
     builtin,
     system_dumps,
+    system_from_json,
     system_loads,
 )
 
@@ -192,3 +193,28 @@ def test_multipath_count_from_every_source():
     # counted after every other source's table is cached
     for x, c in bd.hook_series(4).coeffs.items():
         assert graph.multipath_count(src, x) == c
+
+
+def _two_color_json():
+    return {"ground": {"kind": "mag", "params": {}}, "colors": ["ab", "c"],
+            "rules": [{"out": "ab", "elem": "c(*,*)", "ins": ["ab", "c"]}],
+            "initial": ["ab"], "terminal": ["ab", "c"]}
+
+
+def test_system_from_json_keeps_multi_letter_colors():
+    system = system_from_json(_two_color_json())
+    assert system.colors == ("ab", "c")
+    assert system.initial == ("ab",)
+
+
+@pytest.mark.parametrize("field", ["colors", "initial", "terminal", "ins"])
+def test_system_from_json_rejects_a_string_for_a_color_list(field):
+    # a string would split into one color per letter
+    data = _two_color_json()
+    if field == "ins":
+        data["rules"][0]["ins"] = "ab"
+    else:
+        data[field] = "ab"
+    with pytest.raises(BudgenError,
+                       match="malformed system file: %s must be a list" % field):
+        system_from_json(data)
