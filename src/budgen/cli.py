@@ -73,6 +73,10 @@ def cmd_enumerate(system_file, builtin_name, gamma, arities, max_arity,
     else:
         counts, method = typecount.lang_counting_series(system, max_arity)
     click.echo("counting method: %s" % method, err=True)
+    if method == "type-recurrence" and max_arity > typecount.PROBE_BOUND:
+        click.echo("warning: unambiguity checked up to arity %d only; above "
+                   "it the counts are derivation counts if the system is "
+                   "ambiguous" % typecount.PROBE_BOUND, err=True)
     sep = "," if fmt == "csv" else " "
     for n, a in enumerate(counts, start=1):
         click.echo("%d%s%d" % (n, sep, a))

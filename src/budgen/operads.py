@@ -568,12 +568,6 @@ def st_degree(t) -> int:
     return 1 + sum(st_degree(c) for c in t[2])
 
 
-def st_arity(t) -> int:
-    if t[0] == UNIT_TAG:
-        return 1
-    return sum(st_arity(c) for c in t[2])
-
-
 def st_is_perfect(t) -> bool:
     """True when all root-to-leaf paths have the same length."""
     depths: set[int] = set()
@@ -654,6 +648,16 @@ def degree_bound(n: int, k: int) -> int:
     return (n - 1) + (2 * n - 1) * k
 
 
+def _group_by_color(op: Operad, level: dict) -> dict:
+    """{color: [(arity, elem, tree)]} of one degree level elem -> trees."""
+    pools: dict = {}
+    for e, trees in level.items():
+        pool = pools.setdefault(op.out(e), [])
+        arity = op.arity(e)
+        pool.extend((arity, e, t) for t in trees)
+    return pools
+
+
 def all_treelike(op: Operad, gens, max_arity: int, max_degree: int):
     """All syntax trees over `gens` with arity <= max_arity and degree <=
     max_degree, grouped by evaluated element.  Returns dict elem -> [trees].
@@ -663,6 +667,8 @@ def all_treelike(op: Operad, gens, max_arity: int, max_degree: int):
     by_degree: list[dict] = [{}]
     for c in op.colors:
         by_degree[0].setdefault(op.unit(c), []).append(st_leaf(c))
+    # by_color[d]: dict color -> [(arity, elem, tree)] of degree exactly d
+    by_color = [_group_by_color(op, by_degree[0])]
     for d in range(1, max_degree + 1):
         level: dict = {}
         for g in gens:
@@ -670,18 +676,9 @@ def all_treelike(op: Operad, gens, max_arity: int, max_degree: int):
             ins = op.ins(g)
             for split in _compositions(d - 1 + m, m):
                 # split[j] - 1 is the degree of child j; parts sum to d - 1
-                child_degs = [s - 1 for s in split]
-                pools = []
-                ok = True
-                for cd, color in zip(child_degs, ins):
-                    pool = [(op.arity(e), e, t)
-                            for e, trees in by_degree[cd].items()
-                            if op.out(e) == color for t in trees]
-                    if not pool:
-                        ok = False
-                        break
-                    pools.append(pool)
-                if not ok:
+                pools = [by_color[s - 1].get(color)
+                         for s, color in zip(split, ins)]
+                if not all(pools):
                     continue
                 min_rest = [0] * (m + 1)
                 for j in range(m - 1, -1, -1):
@@ -700,6 +697,7 @@ def all_treelike(op: Operad, gens, max_arity: int, max_degree: int):
 
                 assign(0, max_arity, [])
         by_degree.append(level)
+        by_color.append(_group_by_color(op, level))
     result: dict = {}
     for level in by_degree:
         for elem, trees in level.items():

@@ -19,7 +19,7 @@ from collections import Counter
 from itertools import product
 from typing import Iterable, Sequence
 
-from .core import MONO, BudgenError, BudOperad, Operad
+from .core import MONO, BudgenError, BudOperad, DivergenceError, Operad
 from .operads import (
     ASchrOperad,
     AsOperad,
@@ -148,7 +148,11 @@ class BudSystem:
         return Counter(self.bud._full_compose(x, p) for p in product(*pools))
 
     def derivation_graph(self, bound: int, synchronous: bool = False):
-        """BFS closure from the initial units, restricted to arity <= bound."""
+        """BFS closure from the initial units, restricted to arity <= bound.
+        An arity-1 rule on a color cycle makes the closure infinite."""
+        if not self.ff_check()[0]:
+            raise DivergenceError(
+                "derivation graph diverges: arity-1 rules admit a color cycle")
         step = self.sync_successors if synchronous else self.successors
         frontier = [self.bud.unit(c) for c in self.initial]
         vertices = set(frontier)

@@ -1,18 +1,25 @@
-"""Counting by color type: recurrences and functional systems.
+"""Counting by color type: functional systems on truncated polynomials.
 
 The color type of a bud element is the vector counting each color among
-its inputs.  Pushing the treelike / perfect expression counts of a bud
-system to (output color, type) indices gives integer recurrences that
-are much cheaper than the full series, and the same data packages as a
-system of truncated polynomial equations in one variable per color.
+its inputs.  Pushed to (output color, type) indices, the treelike and
+perfect expression counts of a bud system are the coefficients of two
+systems of polynomial equations in one variable y_c per color,
+
+    f_a = y_a + g_a(f_c1, .., f_ck)    (syntactic: treelike expressions)
+    f_a = y_a + f_a(g_c1, .., g_ck)    (synchronous: perfect expressions)
+
+where g_a counts the rules of output color a by input type.  Both are
+solved, truncated at a total degree, by one polynomial composition: the
+first by composing until two rounds agree, the second by summing the
+layers y_a, g_a, g_a(g), .. until one is empty.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
 
 from .core import BudgenError, DivergenceError, type_of
+from .operads import degree_bound
 from .systems import BudSystem
 
 
@@ -38,194 +45,179 @@ def chi_table(system: BudSystem) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# type-indexed recurrences
+# truncated integer polynomials: dicts from exponent tuples to ints, turned
+# into sympy expressions (and sympy imported) only on return
 
 
-def _unit_type(system: BudSystem, color: str) -> tuple:
-    return tuple(1 if c == color else 0 for c in system.colors)
+def _mul(p: dict, q: dict, bound: int) -> dict:
+    """p * q without the monomials of total degree above bound."""
+    out: dict = {}
+    q_items = sorted(((sum(m), m, c) for m, c in q.items()),
+                     key=lambda t: t[0])
+    for m1, c1 in p.items():
+        room = bound - sum(m1)
+        for d2, m2, c2 in q_items:
+            if d2 > room:
+                break
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
 
 
-def _nonzero(alpha) -> bool:
-    return any(a > 0 for a in alpha)
+def _add(p: dict, q: dict) -> dict:
+    """p += q, in place."""
+    for m, c in q.items():
+        p[m] = p.get(m, 0) + c
+    return p
 
 
-def _sub_type(alpha, beta):
-    return tuple(a - b for a, b in zip(alpha, beta))
+def _compose(p: dict, powers: list, bound: int) -> dict:
+    """p(q_1, .., q_k) without the monomials of total degree above bound,
+    where powers[i] = [1, q_i, q_i^2, ..] grows as needed.  Horner's rule
+    over the variables: p = sum over e of q_1^e * p_e(q_2, .., q_k)."""
+    k = len(powers)
+
+    def horner(terms: list, i: int) -> dict:
+        if i == k:
+            return {(0,) * k: sum(c for _, c in terms)}
+        groups: dict = {}
+        for m, c in terms:
+            groups.setdefault(m[i], []).append((m, c))
+        pw = powers[i]
+        out: dict = {}
+        for e, sub in groups.items():
+            while len(pw) <= e:
+                pw.append(_mul(pw[-1], pw[1], bound))
+            if pw[e]:
+                _add(out, _mul(pw[e], horner(sub, i + 1), bound))
+        return out
+
+    return horner(list(p.items()), 0)
 
 
-def _fits(beta, alpha) -> bool:
-    return all(b <= a for b, a in zip(beta, alpha))
+def _g_polys(system: BudSystem) -> dict:
+    """g_a as integer polynomials: the rule counts of chi_table."""
+    chi = chi_table(system)
+    return {a: {tau: n for (out, tau), n in chi.items() if out == a}
+            for a in system.colors}
 
 
-def _vectors_below(bound):
-    """All componentwise-nonnegative vectors <= bound, excluding zero."""
-    return [v for v in product(*[range(b + 1) for b in bound]) if _nonzero(v)]
+def _powers(system: BudSystem, polys: dict) -> list:
+    """The first powers [1, q_c] of each polynomial, in color order."""
+    one = (0,) * len(system.colors)
+    return [[{one: 1}, polys[c]] for c in system.colors]
 
 
-def _multisets(k: int, bound, ceiling=None):
-    """Multisets (as nonincreasing tuples) of k nonzero vectors whose sum
-    fits below `bound` componentwise."""
-    if k == 0:
-        yield ()
-        return
-    for v in _vectors_below(bound):
-        if ceiling is not None and v > ceiling:
-            continue
-        for rest in _multisets(k - 1, _sub_type(bound, v), v):
-            yield (v,) + rest
+# ---------------------------------------------------------------------------
+# the two functional systems, by color type
 
 
-def _multiplicity_factor(multiset) -> int:
-    counts: dict = {}
-    for v in multiset:
-        counts[v] = counts.get(v, 0) + 1
-    return multiset_factorial(counts.values())
+def _y(system: BudSystem, color: str, bound: int) -> dict:
+    """The variable y_color, truncated at total degree bound."""
+    unit = tuple(1 if c == color else 0 for c in system.colors)
+    return {unit: 1} if bound >= 1 else {}
+
+
+def _round_cap(system: BudSystem, bound: int) -> int:
+    """The certified cap on rounds or layers; a color cycle diverges."""
+    ok, chain = system.ff_check()
+    if not ok:
+        raise DivergenceError("arity-1 rules admit a color cycle")
+    # bound 0 still takes one round to see the zero truncation
+    return degree_bound(max(bound, 1), chain) + 2
+
+
+def _solve_synt(system: BudSystem, bound: int, variables) -> dict:
+    """{a: f_a} for the fixpoint of f_a = y_a + g_a(f_c1, .., f_ck) with
+    y_c = 0 for each color c not in `variables`: the treelike expressions
+    by output color and input type, for the types supported on
+    `variables` (setting a variable to 0 commutes with composition)."""
+    cap = _round_cap(system, bound)
+    g = _g_polys(system)
+    y = {a: _y(system, a, bound) if a in variables else {}
+         for a in system.colors}
+    f: dict = {a: {} for a in system.colors}
+    for _ in range(cap):
+        powers = _powers(system, f)
+        nxt = {a: _add(_compose(g[a], powers, bound), y[a])
+               for a in system.colors}
+        if nxt == f:
+            return f
+        f = nxt
+    raise DivergenceError("functional system did not stabilize")
+
+
+def _sync_layers(system: BudSystem, color: str, bound: int):
+    """L^0 = y_color, L^(h+1) = L^h(g_c1, .., g_ck): the perfect
+    expressions of output color `color` and height h, by input type."""
+    powers = _powers(system, _g_polys(system))
+    layer = _y(system, color, bound)
+    while True:
+        yield layer
+        layer = _compose(layer, powers, bound)
+
+
+def _solve_sync(system: BudSystem, color: str, bound: int) -> dict:
+    """f_color for f_a = y_a + f_a(g_c1, .., g_ck): the sum of the layers
+    up to the first empty one."""
+    cap = _round_cap(system, bound)
+    f: dict = {}
+    for layer, _ in zip(_sync_layers(system, color, bound), range(cap)):
+        if not layer:
+            return f
+        _add(f, layer)
+    raise DivergenceError("functional system did not stabilize")
+
+
+def _cached(system: BudSystem, key, bound: int, solve):
+    """solve(bound), cached per system; a result computed at a larger
+    bound serves every smaller one."""
+    hit = system._cache.get(key)
+    if hit is None or hit[0] < bound:
+        hit = system._cache[key] = (bound, solve(bound))
+    return hit[1]
+
+
+def _poly(system: BudSystem, color: str, bound: int, synchronous: bool,
+          variables) -> dict:
+    """f_color at a bound of at least `bound`, exact on the types
+    supported on the colors `variables` (synt drops the other types)."""
+    if synchronous:
+        return _cached(system, ("colt_sync", color), bound,
+                       lambda n: _solve_sync(system, color, n))
+    variables = frozenset(variables)
+    return _cached(system, ("colt_synt", variables), bound,
+                   lambda n: _solve_synt(system, n, variables))[color]
+
+
+def _coeff(system: BudSystem, color: str, alpha, synchronous: bool) -> int:
+    alpha = tuple(alpha)
+    if len(alpha) != len(system.colors):
+        raise BudgenError("type length must match the color count")
+    if color not in system.colors:
+        raise BudgenError("unknown color %r" % color)
+    if not any(alpha):
+        return 0  # no element has arity 0, even on a color cycle
+    support = [c for c, e in zip(system.colors, alpha) if e]
+    return _poly(system, color, sum(alpha), synchronous, support).get(alpha, 0)
 
 
 def colt_synt_coeff(system: BudSystem, color: str, alpha) -> int:
     """Treelike expressions of the system with the given output color,
-    counted by input color type."""
-    alpha = tuple(alpha)
-    if len(alpha) != len(system.colors):
-        raise BudgenError("type length must match the color count")
-    chi = chi_table(system)
-    memo = system._cache.setdefault("colt_synt", {})
-    in_progress: set = set()
-    colors = system.colors
-
-    def rec(a: str, al: tuple) -> int:
-        key = (a, al)
-        if key in memo:
-            return memo[key]
-        if key in in_progress:
-            raise DivergenceError("type recurrence admits a color cycle")
-        in_progress.add(key)
-        total = 1 if al == _unit_type(system, a) else 0
-        for (out, tau), count in chi.items():
-            if out != a:
-                continue
-            total += count * _synt_rule_sum(tau, al)
-        in_progress.discard(key)
-        memo[key] = total
-        return total
-
-    def _synt_rule_sum(tau: tuple, al: tuple) -> int:
-        # assign a multiset of child types to each color class of the rule
-        def go(idx: int, remaining: tuple) -> int:
-            while idx < len(colors) and tau[idx] == 0:
-                idx += 1
-            if idx == len(colors):
-                return 1 if not _nonzero(remaining) else 0
-            b = colors[idx]
-            subtotal = 0
-            for multiset in _multisets(tau[idx], remaining):
-                rest = remaining
-                for gamma in multiset:
-                    rest = _sub_type(rest, gamma)
-                # resolve the rest of the rule first: dead branches must
-                # not trigger recursive child counts
-                tail = go(idx + 1, rest)
-                if tail == 0:
-                    continue
-                weight = _multiplicity_factor(multiset)
-                for gamma in multiset:
-                    weight *= rec(b, gamma)
-                    if weight == 0:
-                        break
-                subtotal += weight * tail
-            return subtotal
-
-        return go(0, al)
-
-    return rec(color, alpha)
+    counted by input color type: [y^alpha] f_color of the syntactic
+    system."""
+    return _coeff(system, color, alpha, synchronous=False)
 
 
 def colt_sync_coeff(system: BudSystem, color: str, alpha) -> int:
     """Perfect (synchronous) expressions of the system with the given
-    output color, counted by input color type."""
-    alpha = tuple(alpha)
-    if len(alpha) != len(system.colors):
-        raise BudgenError("type length must match the color count")
-    chi = chi_table(system)
-    memo = system._cache.setdefault("colt_sync", {})
-    in_progress: set = set()
-    colors = system.colors
-    pairs = sorted(chi.items())  # ((out color, rule type), count)
-
-    def rec(a: str, al: tuple) -> int:
-        key = (a, al)
-        if key in memo:
-            return memo[key]
-        if key in in_progress:
-            raise DivergenceError("type recurrence admits a color cycle")
-        in_progress.add(key)
-        total = 1 if al == _unit_type(system, a) else 0
-
-        # choose how many leaves of each color take each rule type
-        def go(idx: int, remaining: tuple, beta: list, weight: int,
-               phi_by_color: dict) -> int:
-            if weight == 0:
-                return 0
-            if idx == len(pairs):
-                if _nonzero(remaining) or not any(beta):
-                    return 0
-                for counts in phi_by_color.values():
-                    weight_here = multiset_factorial(counts)
-                    if weight_here != 1:
-                        weight *= weight_here
-                return weight * rec(a, tuple(beta))
-            (b, gamma), count = pairs[idx]
-            b_idx = colors.index(b)
-            subtotal = 0
-            d = 0
-            chi_pow = 1
-            rest = remaining
-            while True:
-                phi_by_color.setdefault(b, []).append(d)
-                beta[b_idx] += d
-                subtotal += go(idx + 1, rest, beta, weight * chi_pow,
-                               phi_by_color)
-                beta[b_idx] -= d
-                phi_by_color[b].pop()
-                if not _fits(gamma, rest):
-                    break
-                rest = _sub_type(rest, gamma)
-                d += 1
-                chi_pow *= count
-            return subtotal
-
-        total += go(0, al, [0] * len(colors), 1, {})
-        in_progress.discard(key)
-        memo[key] = total
-        return total
-
-    return rec(color, alpha)
+    output color, counted by input color type: [y^alpha] f_color of the
+    synchronous system."""
+    return _coeff(system, color, alpha, synchronous=True)
 
 
 # ---------------------------------------------------------------------------
 # counting series of the (synchronous) language
-
-
-def _compositions(n: int, k: int):
-    """All k-tuples of nonnegative ints that sum to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for v in range(n + 1):
-        for rest in _compositions(n - v, k - 1):
-            yield (v,) + rest
-
-
-def _terminal_types(system: BudSystem, n: int):
-    """All types of degree n supported on the terminal colors."""
-    idxs = [system.colors.index(c) for c in system.terminal]
-    if not idxs:
-        return
-    for parts in _compositions(n, len(idxs)):
-        alpha = [0] * len(system.colors)
-        for i, v in zip(idxs, parts):
-            alpha[i] = v
-        yield tuple(alpha)
 
 
 PROBE_BOUND = 5
@@ -235,20 +227,20 @@ def _counting_series(system: BudSystem, bound: int, synchronous: bool):
     probe = min(bound, PROBE_BOUND)
     if synchronous:
         unambiguous = system.is_sync_unambiguous(probe)
-        coeff = colt_sync_coeff
         series = system.sync_series
     else:
         unambiguous = system.is_unambiguous(probe)
-        coeff = colt_synt_coeff
         series = system.synt_series
     if unambiguous:
-        counts = []
-        for n in range(1, bound + 1):
-            total = 0
-            for a in system.initial:
-                for alpha in _terminal_types(system, n):
-                    total += coeff(system, a, alpha)
-            counts.append(total)
+        terminal = [c in system.terminal for c in system.colors]
+        counts = [0] * bound
+        for a in system.initial:
+            for alpha, c in _poly(system, a, bound, synchronous,
+                                  system.terminal).items():
+                n = sum(alpha)
+                if n <= bound and all(t or not e
+                                      for t, e in zip(terminal, alpha)):
+                    counts[n - 1] += c
         return counts, "type-recurrence"
     full = series(bound)
     counts = [len(full.support_slice(n)) for n in range(1, bound + 1)]
@@ -258,9 +250,9 @@ def _counting_series(system: BudSystem, bound: int, synchronous: bool):
 def lang_counting_series(system: BudSystem, bound: int):
     """a(n) = number of language elements of arity n, for n = 1..bound.
 
-    Uses the type recurrence when an unambiguity probe (at arity
-    min(bound, PROBE_BOUND)) passes, else falls back to counting the
-    support of the full series.  Returns (counts, method)."""
+    Uses the syntactic functional system when an unambiguity probe (at
+    arity min(bound, PROBE_BOUND)) passes, else falls back to counting
+    the support of the full series.  Returns (counts, method)."""
     return _counting_series(system, bound, synchronous=False)
 
 
@@ -270,9 +262,7 @@ def sync_counting_series(system: BudSystem, bound: int):
 
 
 # ---------------------------------------------------------------------------
-# functional systems on truncated integer polynomials: dicts from exponent
-# tuples to ints, turned into sympy expressions (and sympy imported) only
-# on return
+# functional systems as sympy expressions
 
 
 def _as_sympy(poly: dict, syms):
@@ -295,85 +285,43 @@ def _in_y(system: BudSystem, polys: dict) -> dict:
     return {c: _as_sympy(polys[c], syms) for c in system.colors}
 
 
-def _g_polys(system: BudSystem) -> dict:
-    """g_a as integer polynomials: the rule counts of chi_table."""
-    chi = chi_table(system)
-    return {a: {tau: n for (out, tau), n in chi.items() if out == a}
-            for a in system.colors}
-
-
 def g_poly(system: BudSystem) -> dict:
     """Rule-generating polynomials: g_a = sum over rules with output a of
     the product of y_c over the rule inputs c."""
     return _in_y(system, _g_polys(system))
 
 
-def _mul(p: dict, q: dict, bound: int) -> dict:
-    """p * q without the monomials of total degree above bound."""
-    out: dict = {}
-    q_items = [(m, c, sum(m)) for m, c in q.items()]
-    for m1, c1 in p.items():
-        d1 = sum(m1)
-        for m2, c2, d2 in q_items:
-            if d1 + d2 > bound:
-                continue
-            m = tuple(a + b for a, b in zip(m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return out
-
-
-def _from_recurrence(system: BudSystem, bound: int, coeff) -> dict:
-    """f_a = sum over the types 1 <= |alpha| <= bound of
-    coeff(system, a, alpha) * y^alpha."""
-    ok, _ = system.ff_check()
-    if not ok:
-        raise DivergenceError("arity-1 rules admit a color cycle")
-    types = [alpha for n in range(1, bound + 1)
-             for alpha in _compositions(n, len(system.colors))]
+def _solved(system: BudSystem, bound: int, synchronous: bool) -> dict:
     return _in_y(system, {
-        a: {alpha: c for alpha in types if (c := coeff(system, a, alpha))}
+        a: {m: c for m, c in _poly(system, a, bound, synchronous,
+                                   system.colors).items()
+            if sum(m) <= bound}
         for a in system.colors})
 
 
 def solve_synt_system(system: BudSystem, bound: int) -> dict:
     """Fixpoint of f_a = y_a + g_a(f_c1, .., f_ck), truncated at total
-    degree `bound`.  f_a counts treelike expressions by leaf colors, so
-    its coefficients are the type recurrence colt_synt_coeff."""
-    return _from_recurrence(system, bound, colt_synt_coeff)
+    degree `bound`.  f_a counts treelike expressions by leaf colors."""
+    return _solved(system, bound, synchronous=False)
 
 
 def solve_sync_system(system: BudSystem, bound: int) -> dict:
     """Fixpoint of f_a = y_a + f_a(g_c1, .., g_ck), truncated at total
-    degree `bound`.  f_a counts perfect expressions by leaf colors, so
-    its coefficients are the type recurrence colt_sync_coeff."""
-    return _from_recurrence(system, bound, colt_sync_coeff)
+    degree `bound`.  f_a counts perfect expressions by leaf colors."""
+    return _solved(system, bound, synchronous=True)
 
 
 def sync_iterates(system: BudSystem, ell: int, bound: int) -> list:
     """Iterates f^(0)_a = y_a, f^(l)_a = y_a + f^(l-1)_a(g_c1, .., g_ck),
-    each truncated at total degree `bound`."""
+    each truncated at total degree `bound` (but for f^(0)): the partial
+    sums of the layers of the synchronous system."""
     colors = system.colors
-    g = _g_polys(system)
-    one = (0,) * len(colors)
-    images = {one: {one: 1}}  # y^beta -> prod of g_c^beta_c, truncated
-
-    def image(beta: tuple) -> dict:
-        if beta not in images:
-            i = next(i for i, e in enumerate(beta) if e)
-            lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-            images[beta] = _mul(image(lower), g[colors[i]], bound)
-        return images[beta]
-
-    iterates = [{c: {_unit_type(system, c): 1} for c in colors}]
-    for _ in range(ell):
-        nxt = {}
-        for a, poly in iterates[-1].items():
-            new = {_unit_type(system, a): 1} if bound >= 1 else {}
-            for beta, coeff in poly.items():
-                for m, v in image(beta).items():
-                    new[m] = new.get(m, 0) + coeff * v
-            nxt[a] = new
-        iterates.append(nxt)
+    iterates = [{} for _ in range(ell + 1)]
+    for a in colors:
+        total: dict = {}
+        for f, layer in zip(iterates, _sync_layers(system, a, bound)):
+            f[a] = dict(_add(total, layer))
+    iterates[0] = {a: _y(system, a, 1) for a in colors}  # not truncated
     return [_in_y(system, f) for f in iterates]
 
 

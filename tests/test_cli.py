@@ -127,6 +127,45 @@ def test_exit_code_divergence(tmp_path):
     assert "finitely_factorizing=false" in proc.stdout
 
 
+@pytest.mark.parametrize("sync", [[], ["--sync"]], ids=["plain", "sync"])
+def test_graph_on_a_color_cycle_exits_2(sync):
+    # the arity-1 rule a1 makes the derivation closure infinite
+    proc = subprocess.run(
+        [sys.executable, "-m", "budgen.cli", "graph", "--builtin", "btree",
+         "--arities", "1,2", "--max-arity", "3"] + sync,
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: derivation graph diverges")
+    assert proc.stdout == ""
+
+
+TWO_PARSES = """S -> A B
+S -> C D
+A -> a a a
+B -> a a a
+C -> a a
+D -> a a a a
+"""
+PROBE_WARNING = ("warning: unambiguity checked up to arity 5 only; above "
+                 "it the counts are derivation counts if the system is "
+                 "ambiguous")
+
+
+@pytest.mark.parametrize("bound,warned", [(5, False), (7, True)])
+def test_enumerate_warns_above_the_probe_bound(tmp_path, bound, warned):
+    grammar = tmp_path / "twoparse.cfg"
+    grammar.write_text(TWO_PARSES)
+    system = tmp_path / "twoparse.json"
+    system.write_text(run_ok(["compile", str(grammar)]).output)
+    proc = run_main(["enumerate", "--system", str(system),
+                     "--max-arity", str(bound)])
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert lines[0] == "counting method: type-recurrence"
+    assert (PROBE_WARNING in lines) == warned
+    assert len(lines) == (2 if warned else 1)
+
+
 def test_series_drops_rules_above_the_bound():
     result = run_ok(["series", "--builtin", "btree", "--arities", "2,3,4",
                      "--max-arity", "3", "--kind", "sync"])

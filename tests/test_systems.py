@@ -1,11 +1,12 @@
 import pytest
 
 import budgen.series as S
-from budgen.core import MONO, BudgenError
+from budgen.core import MONO, BudgenError, DivergenceError
 from budgen.operads import DiasOperad, MagOperad
 from budgen.systems import (
     BUILTIN_NAMES,
     BudSystem,
+    DerivGraph,
     builtin,
     system_dumps,
     system_from_json,
@@ -170,16 +171,32 @@ def test_empty_initial_gives_zero_series():
     assert system.synt_series(4).support() == set()
 
 
-def test_multipath_count_on_a_cyclic_graph_raises():
+def _cyclic_system():
     leaf = MagOperad().unit(MONO)
-    cyclic = BudSystem(MagOperad(), ("1", "2"),
-                       [("1", leaf, ("2",)), ("2", leaf, ("1",))],
-                       ("1",), ("1",))
-    graph = cyclic.derivation_graph(2)
+    return BudSystem(MagOperad(), ("1", "2"),
+                     [("1", leaf, ("2",)), ("2", leaf, ("1",))],
+                     ("1",), ("1",))
+
+
+def test_multipath_count_on_a_cyclic_graph_raises():
+    # derivation_graph refuses a color cycle, so the graph is built from
+    # the one-step derivations, which go 1 -> 2 -> 1
+    cyclic = _cyclic_system()
     src = cyclic.bud.unit("1")
+    (mid,) = cyclic.successors(src)
+    assert src in cyclic.successors(mid)
+    graph = DerivGraph(cyclic, {src, mid}, {(src, mid): 1, (mid, src): 1})
     for x in graph.vertices:
         with pytest.raises(BudgenError):
             graph.multipath_count(src, x)
+
+
+@pytest.mark.parametrize("synchronous", [False, True])
+def test_derivation_graph_diverges_on_a_color_cycle(synchronous):
+    # an arity-1 rule on a color cycle makes the closure infinite
+    for system in [_cyclic_system(), builtin("btree", arities=[1, 2])]:
+        with pytest.raises(DivergenceError):
+            system.derivation_graph(3, synchronous=synchronous)
 
 
 def test_multipath_count_from_every_source():

@@ -80,6 +80,13 @@ def test_colt_divergence_on_color_cycle():
                        ("1",), ("1",))
     with pytest.raises(DivergenceError):
         colt_synt_coeff(cyclic, "1", (1, 0))
+    with pytest.raises(DivergenceError):
+        colt_sync_coeff(cyclic, "1", (1, 0))
+    with pytest.raises(DivergenceError):
+        sync_counting_series(cyclic, 3)
+    # no element has arity 0, cycle or not
+    assert colt_synt_coeff(cyclic, "1", (0, 0)) == 0
+    assert colt_sync_coeff(cyclic, "1", (0, 0)) == 0
 
 
 def test_counting_series_methods():
@@ -194,3 +201,45 @@ def test_solve_systems_diverge_on_color_cycle():
         solve_synt_system(cyclic, 3)
     with pytest.raises(DivergenceError):
         solve_sync_system(cyclic, 3)
+
+
+@pytest.mark.parametrize("name", ["bbt", "b1", "bbu", "bs"])
+def test_solve_systems_at_bound_zero_are_zero(name):
+    system = builtin(name)
+    zeros = {c: 0 for c in system.colors}
+    assert solve_synt_system(system, 0) == zeros
+    assert solve_sync_system(system, 0) == zeros
+
+
+def test_sync_iterates_at_bound_zero():
+    # f^(0) = y is the one iterate that is not truncated
+    its = sync_iterates(builtin("bbt"), 2, 0)
+    assert its == [{"1": Y1, "2": Y2}, {"1": 0, "2": 0}, {"1": 0, "2": 0}]
+
+
+@pytest.mark.parametrize("name", ["bbt", "b2", "bp"])
+def test_colt_tables_serve_smaller_bounds(name):
+    # a table computed at degree 6 answers degrees 1..5 as a fresh one does
+    for coeff, counting, solve in [
+            (colt_synt_coeff, lang_counting_series, solve_synt_system),
+            (colt_sync_coeff, sync_counting_series, solve_sync_system)]:
+        warm = builtin(name)
+        top = (6,) + (0,) * (len(warm.colors) - 1)
+        coeff(warm, warm.colors[0], top)
+        for n in range(1, 6):
+            for color in warm.colors:
+                for alpha in _types(len(warm.colors), n):
+                    assert coeff(warm, color, alpha) == \
+                        coeff(builtin(name), color, alpha)
+        assert counting(warm, 5) == counting(builtin(name), 5)
+        assert solve(warm, 5) == solve(builtin(name), 5)
+
+
+def _types(k, n):
+    """All k-tuples of nonnegative ints that sum to n."""
+    if k == 1:
+        yield (n,)
+        return
+    for v in range(n + 1):
+        for rest in _types(k - 1, n - v):
+            yield (v,) + rest
