@@ -4,15 +4,16 @@ Coefficients are exact scalars: `int` when the inputs are integral, and
 `Fraction` where `compose_inverse` divides (anything with ring semantics
 works).  Every operation takes or propagates an arity bound N:
 coefficients at arity <= N are exact and higher arities are absent.  The
-stars are solved by increments over the whole series, and the
-composition inverse slice by slice, by increments within each arity
-slice; both stop within a certified cap derived from the longest
-arity-1 color chain.
+stars and the composition inverse are built bottom-up from the units of
+the input colors: the stars level by level (node count for pre-Lie,
+height for composition), the inverse arity slice by arity slice.  All
+stop within a certified cap derived from the longest arity-1 chain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .core import BudgenError, BudOperad, DivergenceError, Operad, type_of
 from .operads import AsOperad, degree_bound, finitely_factorizing_check
@@ -72,8 +73,10 @@ def characteristic(operad: Operad, elements, bound: int) -> Series:
     return Series(operad, bound, {x: ONE for x in elements})
 
 
-def units_series(operad: Operad, bound: int) -> Series:
-    return characteristic(operad, [operad.unit(c) for c in operad.colors], bound)
+def units_series(operad: Operad, bound: int, colors=None) -> Series:
+    """The units of `colors` (every color by default)."""
+    colors = operad.colors if colors is None else colors
+    return characteristic(operad, [operad.unit(c) for c in colors], bound)
 
 
 def add(f: Series, g: Series) -> Series:
@@ -142,77 +145,100 @@ def compose_prod(f: Series, g: Series, bound: int | None = None) -> Series:
     return Series(op, n_max, coeffs)
 
 
-def _pools(op: Operad, items) -> dict:
-    """out color -> [(arity, elem, coeff)], sorted by arity."""
-    pools: dict = {}
-    for z, cz in items:
-        pools.setdefault(op.out(z), []).append((op.arity(z), z, cz))
-    for pool in pools.values():
-        pool.sort(key=lambda item: item[0])
+def _pools(op: Operad, items, nodes: int = 0, pools=None) -> dict:
+    """pools[out color][nodes] += items as (arity, elem, coeff), by arity."""
+    pools = {} if pools is None else pools
+    for z, cz in sorted(items, key=lambda item: op.arity(item[0])):
+        pools.setdefault(op.out(z), {}).setdefault(nodes, []).append(
+            (op.arity(z), z, cz))
     return pools
 
 
 def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
-                acc: dict) -> None:
+                acc: dict, nodes: int = 0) -> None:
     """Add weight * (y composed with one pick per input) into acc, for
-    every pick of total arity in lo..hi; an input of color c picks from
-    pools[c], a list of (arity, elem, coeff) sorted by arity."""
+    every pick of total arity in lo..hi and total node count `nodes`; an
+    input of color c picks from pools[c] (see `_pools`), and picks of
+    k_1..k_m nodes weigh multinomial(nodes; k_1..k_m)."""
     choices = [pools.get(c) for c in op.ins(y)]
     if not all(choices):
         return
     m = len(choices)
-    min_rest = [0] * (m + 1)
-    max_rest = [0] * (m + 1)
+    rest = [(0, 0, 0, 0)] * (m + 1)  # min/max arity and nodes of j..m-1
     for j in range(m - 1, -1, -1):
-        min_rest[j] = min_rest[j + 1] + choices[j][0][0]
-        max_rest[j] = max_rest[j + 1] + choices[j][-1][0]
+        lists, (a0, a1, k0, k1) = choices[j], rest[j + 1]
+        rest[j] = (a0 + min(p[0][0] for p in lists.values()),
+                   a1 + max(p[-1][0] for p in lists.values()),
+                   k0 + min(lists), k1 + max(lists))
     picks: list = []
 
-    def assign(j: int, arity: int, w) -> None:
+    def assign(j: int, arity: int, k: int, w) -> None:
         if j == m:
             x = op._full_compose(y, picks)
             acc[x] = acc.get(x, ZERO) + w
             return
-        for az, z, cz in choices[j]:
-            if arity + az + min_rest[j + 1] > hi:
-                break
-            if arity + az + max_rest[j + 1] < lo:
+        a0, a1, k0, k1 = rest[j + 1]
+        for kz, items in choices[j].items():
+            if not nodes - k1 <= k + kz <= nodes - k0:
                 continue
-            picks.append(z)
-            assign(j + 1, arity + az, w * cz)
-            picks.pop()
+            wk = w * comb(k + kz, kz) if kz else w
+            for az, z, cz in items:
+                if arity + az + a0 > hi:
+                    break
+                if arity + az + a1 < lo:
+                    continue
+                picks.append(z)
+                assign(j + 1, arity + az, k + kz, wk * cz)
+                picks.pop()
 
-    assign(0, 0, weight)
+    assign(0, 0, 0, weight)
 
 
-def _star(f: Series, product, what: str) -> Series:
+def _chain(f: Series, what: str) -> int:
+    """The longest arity-1 color chain of f's support; a cycle diverges."""
     op = f.operad
-    s1 = [x for x in f.coeffs if op.arity(x) == 1]
-    ok, chain = finitely_factorizing_check(op, s1)
+    ok, chain = finitely_factorizing_check(
+        op, [x for x in f.coeffs if op.arity(x) == 1])
     if not ok:
         raise DivergenceError(
             "%s diverges: arity-1 support admits a color cycle" % what)
-    cap = degree_bound(f.bound, chain) + 2
-    # both products are linear in their left argument, so the fixpoint
-    # x = u + product(x, f) is the sum of the iterated increments
-    current = units_series(op, f.bound)
-    delta = current
+    return chain
+
+
+def pre_lie_star(f: Series, inputs=None) -> Series:
+    """Unique solution of x = u + x <- f, truncated at the bound of f and
+    composed on the right with the units of `inputs` (default: all), by
+    node count: a coefficient sums the increasing labelings of f-trees."""
+    op = f.operad
+    top = degree_bound(f.bound, _chain(f, "pre-Lie star"))
+    coeffs, pools = {}, {}
+    level = units_series(op, f.bound, inputs).coeffs
+    for k in range(top + 1):  # levels in between may be empty
+        for x, c in level.items():
+            coeffs[x] = coeffs.get(x, ZERO) + c
+        _pools(op, level.items(), k, pools)
+        level = {}
+        for y, cy in f.coeffs.items():
+            _substitute(op, y, cy, pools, 1, f.bound, level, k)
+        level = {x: c for x, c in level.items() if c != 0}
+    if level:
+        raise DivergenceError("pre-Lie star did not stop at %d nodes" % top)
+    return Series(op, f.bound, coeffs)
+
+
+def compose_star(f: Series, inputs=None) -> Series:
+    """Unique solution of x = u + x (.) f, truncated at the bound of f and
+    composed on the right with the units of `inputs` (default: all); by
+    height, as f^h (.) t = f (.) (f^(h-1) (.) t)."""
+    cap = degree_bound(f.bound, _chain(f, "composition star")) + 2
+    level = total = units_series(f.operad, f.bound, inputs)
     for _ in range(cap):
-        delta = product(delta, f)
-        if not delta.coeffs:
-            return current
-        current = add(current, delta)
-    raise DivergenceError("%s did not stabilize within %d iterations" % (what, cap))
-
-
-def pre_lie_star(f: Series) -> Series:
-    """Unique solution of x = u + x <- f, truncated at the bound of f."""
-    return _star(f, pre_lie, "pre-Lie star")
-
-
-def compose_star(f: Series) -> Series:
-    """Unique solution of x = u + x (.) f, truncated at the bound of f."""
-    return _star(f, compose_prod, "composition star")
+        level = compose_prod(f, level)
+        if not level.coeffs:
+            return total
+        total = add(total, level)
+    raise DivergenceError(
+        "composition star did not stabilize within %d iterations" % cap)
 
 
 def pre_lie_power(f: Series, ell: int) -> Series:
@@ -229,8 +255,9 @@ def compose_power(f: Series, ell: int) -> Series:
     return result
 
 
-def compose_inverse(f: Series) -> Series:
-    """Two-sided inverse of f for the composition product.
+def compose_inverse(f: Series, inputs=None) -> Series:
+    """Two-sided inverse of f for the composition product, composed on
+    the right with the units of `inputs` (default: all).
 
     Requires the support of f to be the units plus a set S whose arity-1
     part is finitely factorizing, with nonzero unit coefficients.  The
@@ -261,7 +288,7 @@ def compose_inverse(f: Series) -> Series:
     ok, chain = finitely_factorizing_check(op, s1)
     if not ok:
         raise DivergenceError("composition inverse diverges: color cycle")
-    current = _graded_tree_sum(op, weights, f.bound, chain)
+    current = _graded_tree_sum(op, weights, f.bound, chain, inputs)
     return Series(op, f.bound, {x: _divide(c, unit_coeff[op.out(x)])
                                 for x, c in current.coeffs.items()})
 
@@ -276,19 +303,20 @@ def _divide(c, d):
     return c / d
 
 
-def _graded_tree_sum(op: Operad, weights: dict, bound: int,
-                     chain: int) -> Series:
-    """Solve V = u + W (.) V arity slice by arity slice.  Slice n starts
-    from the units (n = 1) and the roots of arity >= 2 over the finished
+def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
+                     inputs=None) -> Series:
+    """Solve V = u + W (.) V, composed on the right with the units of
+    `inputs`, arity slice by arity slice.  Slice n starts from those
+    units (n = 1) and the roots of arity >= 2 over the finished
     slices; the terms with an arity-1 root are then added by increments,
     which the finitely-factorizing chain bound makes vanish within
     chain + 1 rounds."""
     w1 = [(y, cy) for y, cy in weights.items() if op.arity(y) == 1]
     wide = [(y, cy) for y, cy in weights.items() if op.arity(y) > 1]
-    pools: dict = {}  # out color -> [(arity, elem, coeff)] of the finished slices
+    pools: dict = {}  # the finished slices
     v_coeffs: dict = {}
     for n in range(1, bound + 1):
-        delta = {op.unit(c): ONE for c in op.colors} if n == 1 else {}
+        delta = units_series(op, bound, inputs).coeffs if n == 1 else {}
         for y, cy in wide:
             _substitute(op, y, cy, pools, n, n, delta)
         terms: dict = {}
@@ -303,10 +331,9 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int,
                 _substitute(op, y, cy, delta_pools, n, n, delta)
         else:
             raise DivergenceError("composition inverse did not stabilize")
-        for x, c in terms.items():
-            if c != 0:
-                v_coeffs[x] = c
-                pools.setdefault(op.out(x), []).append((n, x, c))
+        terms = {x: c for x, c in terms.items() if c != 0}
+        v_coeffs.update(terms)
+        _pools(op, terms.items(), 0, pools)
     return Series(op, bound, v_coeffs)
 
 

@@ -84,27 +84,23 @@ class BudSystem:
             x: c for x, c in middle.coeffs.items()
             if x[0] in initial and terminal.issuperset(x[2])})
 
-    def hook_series(self, bound: int) -> S.Series:
-        key = ("hook", bound)
+    def _series(self, kind: str, bound: int, middle) -> S.Series:
+        """i (.) middle(r, t), cached per kind and bound."""
+        key = (kind, bound)
         if key not in self._cache:
-            star = S.pre_lie_star(self.rule_series(bound))
-            self._cache[key] = self._filtered(star, bound)
+            m = middle(self.rule_series(bound), self.terminal)
+            self._cache[key] = self._filtered(m, bound)
         return self._cache[key]
+
+    def hook_series(self, bound: int) -> S.Series:
+        return self._series("hook", bound, S.pre_lie_star)
 
     def synt_series(self, bound: int) -> S.Series:
-        key = ("synt", bound)
-        if key not in self._cache:
-            u = S.units_series(self.bud, bound)
-            inv = S.compose_inverse(S.sub(u, self.rule_series(bound)))
-            self._cache[key] = self._filtered(inv, bound)
-        return self._cache[key]
+        return self._series("synt", bound, lambda r, t: S.compose_inverse(
+            S.sub(S.units_series(self.bud, bound), r), t))
 
     def sync_series(self, bound: int) -> S.Series:
-        key = ("sync", bound)
-        if key not in self._cache:
-            star = S.compose_star(self.rule_series(bound))
-            self._cache[key] = self._filtered(star, bound)
-        return self._cache[key]
+        return self._series("sync", bound, S.compose_star)
 
     def language(self, bound: int) -> set:
         return self.synt_series(bound).support()

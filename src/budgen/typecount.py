@@ -9,9 +9,10 @@ systems of polynomial equations in one variable y_c per color,
     f_a = y_a + f_a(g_c1, .., g_ck)    (synchronous: perfect expressions)
 
 where g_a counts the rules of output color a by input type.  Both are
-solved, truncated at a total degree, by one polynomial composition: the
-first by composing until two rounds agree, the second by summing the
-layers y_a, g_a, g_a(g), .. until one is empty.
+solved, truncated at a total degree (one syntactic coefficient: at its
+type, componentwise), by one polynomial composition: the first by
+composing until two rounds agree, the second by summing the layers y_a,
+g_a, g_a(g), .. until one is empty.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def chi_table(system: BudSystem) -> dict:
 # into sympy expressions (and sympy imported) only on return
 
 
-def _mul(p: dict, q: dict, bound: int) -> dict:
-    """p * q without the monomials of total degree above bound."""
+def _mul(p: dict, q: dict, bound: int, box=None) -> dict:
+    """p * q, dropping monomials of total degree > bound or not <= box."""
     out: dict = {}
     q_items = sorted(((sum(m), m, c) for m, c in q.items()),
                      key=lambda t: t[0])
@@ -60,7 +61,8 @@ def _mul(p: dict, q: dict, bound: int) -> dict:
             if d2 > room:
                 break
             m = tuple(a + b for a, b in zip(m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
+            if box is None or all(a <= b for a, b in zip(m, box)):
+                out[m] = out.get(m, 0) + c1 * c2
     return out
 
 
@@ -71,10 +73,10 @@ def _add(p: dict, q: dict) -> dict:
     return p
 
 
-def _compose(p: dict, powers: list, bound: int) -> dict:
-    """p(q_1, .., q_k) without the monomials of total degree above bound,
-    where powers[i] = [1, q_i, q_i^2, ..] grows as needed.  Horner's rule
-    over the variables: p = sum over e of q_1^e * p_e(q_2, .., q_k)."""
+def _compose(p: dict, powers: list, bound: int, box=None) -> dict:
+    """p(q_1, .., q_k) truncated as by `_mul`, where powers[i] = [1, q_i,
+    q_i^2, ..] grows as needed.  Horner's rule over the variables: p =
+    sum over e of q_1^e * p_e(q_2, .., q_k)."""
     k = len(powers)
 
     def horner(terms: list, i: int) -> dict:
@@ -87,9 +89,9 @@ def _compose(p: dict, powers: list, bound: int) -> dict:
         out: dict = {}
         for e, sub in groups.items():
             while len(pw) <= e:
-                pw.append(_mul(pw[-1], pw[1], bound))
+                pw.append(_mul(pw[-1], pw[1], bound, box))
             if pw[e]:
-                _add(out, _mul(pw[e], horner(sub, i + 1), bound))
+                _add(out, _mul(pw[e], horner(sub, i + 1), bound, box))
         return out
 
     return horner(list(p.items()), 0)
@@ -127,11 +129,12 @@ def _round_cap(system: BudSystem, bound: int) -> int:
     return degree_bound(max(bound, 1), chain) + 2
 
 
-def _solve_synt(system: BudSystem, bound: int, variables) -> dict:
+def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
     """{a: f_a} for the fixpoint of f_a = y_a + g_a(f_c1, .., f_ck) with
     y_c = 0 for each color c not in `variables`: the treelike expressions
     by output color and input type, for the types supported on
-    `variables` (setting a variable to 0 commutes with composition)."""
+    `variables` (setting a variable to 0 commutes with composition) and
+    inside the box if given (a tree's type bounds its subtrees')."""
     cap = _round_cap(system, bound)
     g = _g_polys(system)
     y = {a: _y(system, a, bound) if a in variables else {}
@@ -139,7 +142,7 @@ def _solve_synt(system: BudSystem, bound: int, variables) -> dict:
     f: dict = {a: {} for a in system.colors}
     for _ in range(cap):
         powers = _powers(system, f)
-        nxt = {a: _add(_compose(g[a], powers, bound), y[a])
+        nxt = {a: _add(_compose(g[a], powers, bound, box), y[a])
                for a in system.colors}
         if nxt == f:
             return f
@@ -199,7 +202,11 @@ def _coeff(system: BudSystem, color: str, alpha, synchronous: bool) -> int:
     if not any(alpha):
         return 0  # no element has arity 0, even on a color cycle
     support = [c for c, e in zip(system.colors, alpha) if e]
-    return _poly(system, color, sum(alpha), synchronous, support).get(alpha, 0)
+    if synchronous:
+        return _poly(system, color, sum(alpha), True, support).get(alpha, 0)
+    box = _cached(system, ("colt_synt_box", alpha), sum(alpha),  # alpha only
+                  lambda n: _solve_synt(system, n, support, alpha))
+    return box[color].get(alpha, 0)
 
 
 def colt_synt_coeff(system: BudSystem, color: str, alpha) -> int:

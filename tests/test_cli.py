@@ -139,6 +139,29 @@ def test_graph_on_a_color_cycle_exits_2(sync):
     assert proc.stdout == ""
 
 
+RELABEL = """start: 1
+terminal: 2
+1 -> n2(1,2)
+1 -> 2
+2 -> n1(2)
+"""
+
+
+@pytest.mark.parametrize("kind", ["hook", "synt", "sync"])
+def test_series_on_a_color_cycle_exits_2(tmp_path, kind):
+    # the arity-1 rule 2 -> n1(2) is a color cycle
+    grammar = tmp_path / "relabel.sg"
+    grammar.write_text(RELABEL)
+    system = tmp_path / "relabel.json"
+    system.write_text(run_ok(["compile", str(grammar)]).output)
+    proc = run_main(["series", "--system", str(system), "--kind", kind,
+                     "--max-arity", "4"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "diverges" in proc.stderr
+    assert proc.stdout == ""
+
+
 TWO_PARSES = """S -> A B
 S -> C D
 A -> a a a

@@ -102,6 +102,10 @@ def test_series_of_random_systems_match_the_oracles(case):
         assert synt.coeff(x) == len(trees)
         assert sync.coeff(x) == sum(1 for t in trees if st_is_perfect(t))
         assert hook.coeff(x) == sum(hook_count(t) for t in trees)
+    # the system series are seeded with the terminal units only
+    for kind, middle in (("hook", hook), ("synt", synt), ("sync", sync)):
+        assert getattr(system, kind + "_series")(bound) == \
+            system._filtered(middle, bound)
     synt_table = S.colt_table(synt)
     sync_table = S.colt_table(sync)
     for color in system.colors:

@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 import budgen.series as S
 from budgen.core import MONO, AsOperad, BudgenError, BudOperad, DivergenceError
-from budgen.operads import MagOperad, all_treelike, hook_count, st_is_perfect
+from budgen.operads import (
+    MagOperad,
+    all_treelike,
+    degree_bound,
+    hook_count,
+    st_is_perfect,
+)
+from budgen.systems import builtin
 
 AS = AsOperad()
 MAG = MagOperad()
@@ -125,10 +132,61 @@ def test_stars_on_mag():
 def test_star_divergence_detected():
     f = S.characteristic(BUD, [BUD.element("1", 1, ("2",)),
                                BUD.element("2", 1, ("1",))], 4)
-    with pytest.raises(DivergenceError):
-        S.pre_lie_star(f)
-    with pytest.raises(DivergenceError):
-        S.compose_star(f)
+    cycle = "arity-1 support admits a color cycle"
+    for inputs in (None, ("1",), ("2",), ()):
+        with pytest.raises(DivergenceError,
+                           match="pre-Lie star diverges: " + cycle):
+            S.pre_lie_star(f, inputs=inputs)
+        with pytest.raises(DivergenceError,
+                           match="composition star diverges: " + cycle):
+            S.compose_star(f, inputs=inputs)
+        with pytest.raises(DivergenceError,
+                           match="composition inverse diverges"):
+            S.compose_inverse(S.sub(S.units_series(BUD, 4), f),
+                              inputs=inputs)
+
+
+@pytest.mark.parametrize("name", ["bbu", "bbt", "b2", "bs", "bdias"])
+def test_stars_with_other_coefficients_equal_their_power_sums(name):
+    # the bottom-up levels against the top-down products, on rule series
+    # scaled by ints other than 1 and by a Fraction; `inputs` composes
+    # on the right with the terminal units
+    system = builtin(name, **({"gamma": 2} if name == "bdias" else {}))
+    bound = 4
+    op = system.bud
+    top = degree_bound(bound, system.ff_check()[1])
+    units = S.units_series(op, bound)
+    for scalar in (3, -2, Fraction(2, 3)):
+        f = S.scale(scalar, system.rule_series(bound))
+        hook, sync = units, units
+        for ell in range(1, top + 1):
+            hook = S.add(hook, S.pre_lie_power(f, ell))
+            sync = S.add(sync, S.compose_power(f, ell))
+        t = S.units_series(op, bound, system.terminal)
+        for star, expect in ((S.pre_lie_star, hook), (S.compose_star, sync)):
+            got = star(f)
+            assert got == expect, (name, scalar)
+            assert all(type(c) is type(scalar) for x, c in got.coeffs.items()
+                       if x not in units.coeffs)
+            assert star(f, inputs=system.terminal) == \
+                S.compose_prod(expect, t), (name, scalar)
+        g = S.sub(units, f)
+        assert S.compose_inverse(g, inputs=system.terminal) == \
+            S.compose_prod(S.compose_inverse(g), t), (name, scalar)
+
+
+def test_pre_lie_star_passes_an_empty_node_level():
+    # seeded with b alone: the 1-node trees have color a, no 2-node tree
+    # exists, and c(a(b, b), a(b, b)) has 3 nodes and 2 labelings
+    op = BudOperad(MAG, ("a", "b", "c"))
+    c = MAG.corolla()
+    f = S.characteristic(op, [op.element("a", c, ("b", "b")),
+                              op.element("c", c, ("a", "a"))], 4)
+    star = S.pre_lie_star(f, inputs=("b",))
+    assert star.coeff(op.element("c", MAG.loads("c(c(*,*),c(*,*))"),
+                                 ("b",) * 4)) == 2
+    assert star == S.compose_prod(S.pre_lie_star(f),
+                                  S.units_series(op, 4, ("b",)))
 
 
 def test_powers():

@@ -121,6 +121,23 @@ def test_series_filtering_by_initial_terminal():
         assert all(c in bbu.terminal for c in op.ins(x))
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_seeded_series_equal_the_filtered_full_fixpoints(name):
+    # the system series compose with the terminal units inside the
+    # fixpoints; seeding with every color and filtering gives the same
+    kwargs = {"bdias": {"gamma": 2}, "btree": {"arities": [2, 3]}}
+    system = builtin(name, **kwargs.get(name, {}))
+    bound = 4
+    r = system.rule_series(bound)
+    u = S.units_series(system.bud, bound)
+    full = {"hook": S.pre_lie_star(r),
+            "synt": S.compose_inverse(S.sub(u, r)),
+            "sync": S.compose_star(r)}
+    for kind, middle in full.items():
+        assert getattr(system, kind + "_series")(bound) == \
+            system._filtered(middle, bound), (name, kind)
+
+
 def test_language_counts_small():
     bp = builtin("bp")
     lang = bp.language(4)

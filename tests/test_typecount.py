@@ -235,6 +235,24 @@ def test_colt_tables_serve_smaller_bounds(name):
         assert solve(warm, 5) == solve(builtin(name), 5)
 
 
+def test_box_tables_give_the_values_of_the_series():
+    # colt_synt_coeff solves only the types componentwise <= alpha; the
+    # table of one type must not answer another, nor the counting series
+    bound = 4
+    b2 = builtin("b2")
+    u = S.units_series(b2.bud, bound)
+    table = S.colt_table(S.compose_inverse(S.sub(u, b2.rule_series(bound))))
+    assert len(table) > 10
+    for n in range(bound, 0, -1):
+        for alpha in _types(len(b2.colors), n):
+            for color in b2.colors:
+                assert colt_synt_coeff(b2, color, alpha) == \
+                    table.get((color, alpha), 0), (color, alpha)
+    fresh = builtin("b2")
+    assert lang_counting_series(b2, bound) == lang_counting_series(fresh, bound)
+    assert solve_synt_system(b2, bound) == solve_synt_system(fresh, bound)
+
+
 def _types(k, n):
     """All k-tuples of nonnegative ints that sum to n."""
     if k == 1:
