@@ -51,6 +51,16 @@ def _system_options(f):
     return f
 
 
+def _check_bound(ctx, param, value):
+    if value < 1:
+        raise BudgenError("--max-arity must be >= 1")
+    return value
+
+
+_max_arity_option = click.option("--max-arity", default=8, show_default=True,
+                                 callback=_check_bound)
+
+
 @click.group()
 def cli():
     """Bud generating systems: enumeration, series, and verdicts."""
@@ -58,7 +68,7 @@ def cli():
 
 @cli.command(name="enumerate")
 @_system_options
-@click.option("--max-arity", default=8, show_default=True)
+@_max_arity_option
 @click.option("--sync", is_flag=True, help="count the synchronous language")
 @click.option("--format", "fmt", default="text",
               type=click.Choice(["text", "csv", "bfile"]))
@@ -66,8 +76,6 @@ def cmd_enumerate(system_file, builtin_name, gamma, arities, max_arity,
                   sync, fmt):
     """Per-arity counts of the (synchronous) language, n = 1..N."""
     system = _load_system(system_file, builtin_name, gamma, arities)
-    if max_arity < 1:
-        raise BudgenError("--max-arity must be >= 1")
     if sync:
         counts, method = typecount.sync_counting_series(system, max_arity)
     else:
@@ -84,7 +92,7 @@ def cmd_enumerate(system_file, builtin_name, gamma, arities, max_arity,
 
 @cli.command(name="series")
 @_system_options
-@click.option("--max-arity", default=8, show_default=True)
+@_max_arity_option
 @click.option("--kind", default="synt", show_default=True,
               type=click.Choice(["hook", "synt", "sync"]))
 def cmd_series(system_file, builtin_name, gamma, arities, max_arity, kind):
@@ -98,7 +106,7 @@ def cmd_series(system_file, builtin_name, gamma, arities, max_arity, kind):
 
 @cli.command(name="colt")
 @_system_options
-@click.option("--max-arity", default=8, show_default=True)
+@_max_arity_option
 @click.option("--kind", default="synt", show_default=True,
               type=click.Choice(["hook", "synt", "sync"]))
 @click.option("--format", "fmt", default="csv",
@@ -125,7 +133,7 @@ def cmd_colt(system_file, builtin_name, gamma, arities, max_arity, kind, fmt):
 
 @cli.command(name="graph")
 @_system_options
-@click.option("--max-arity", default=8, show_default=True)
+@_max_arity_option
 @click.option("--sync", is_flag=True, help="synchronous derivations")
 @click.option("--format", "fmt", default="dot",
               type=click.Choice(["text", "dot"]), show_default=True)
@@ -145,7 +153,7 @@ def cmd_graph(system_file, builtin_name, gamma, arities, max_arity, sync, fmt):
 
 @cli.command(name="check")
 @_system_options
-@click.option("--max-arity", default=8, show_default=True)
+@_max_arity_option
 def cmd_check(system_file, builtin_name, gamma, arities, max_arity):
     """Verdict report: finitely factorizing, faithful, unambiguous.
 

@@ -9,10 +9,14 @@ systems of polynomial equations in one variable y_c per color,
     f_a = y_a + f_a(g_c1, .., g_ck)    (synchronous: perfect expressions)
 
 where g_a counts the rules of output color a by input type.  Both are
-solved, truncated at a total degree (one syntactic coefficient: at its
-type, componentwise), by one polynomial composition: the first by
-composing until two rounds agree, the second by summing the layers y_a,
-g_a, g_a(g), .. until one is empty.
+solved on integer polynomials truncated at a total degree, over the
+variables a request needs: setting y_c = 0 commutes with composition, so
+the counting series keep only the terminal colors.  One coefficient is
+solved in the box of its type (componentwise), since a tree's type bounds
+its subtrees' types.  The syntactic system is solved degree slice by
+degree slice: the rules of arity >= 2 over the finished slices, then
+arity-1 increments.  The synchronous one sums its layers from the leaves,
+y, g(y), g(g(y)), .., until the whole vector is empty.
 """
 
 from __future__ import annotations
@@ -66,10 +70,10 @@ def _mul(p: dict, q: dict, bound: int, box=None) -> dict:
     return out
 
 
-def _add(p: dict, q: dict) -> dict:
-    """p += q, in place."""
+def _add(p: dict, q: dict, scale: int = 1) -> dict:
+    """p += scale * q, in place."""
     for m, c in q.items():
-        p[m] = p.get(m, 0) + c
+        p[m] = p.get(m, 0) + scale * c
     return p
 
 
@@ -104,14 +108,11 @@ def _g_polys(system: BudSystem) -> dict:
             for a in system.colors}
 
 
-def _powers(system: BudSystem, polys: dict) -> list:
-    """The first powers [1, q_c] of each polynomial, in color order."""
-    one = (0,) * len(system.colors)
-    return [[{one: 1}, polys[c]] for c in system.colors]
-
-
 # ---------------------------------------------------------------------------
-# the two functional systems, by color type
+# the two functional systems, by color type.  Both take `variables`, the
+# colors c whose y_c is kept (the others are set to 0, which commutes with
+# composition), and an optional box: a tree's type bounds its subtrees'
+# types componentwise, so the types <= box are solved from types <= box.
 
 
 def _y(system: BudSystem, color: str, bound: int) -> dict:
@@ -120,77 +121,120 @@ def _y(system: BudSystem, color: str, bound: int) -> dict:
     return {unit: 1} if bound >= 1 else {}
 
 
-def _round_cap(system: BudSystem, bound: int) -> int:
-    """The certified cap on rounds or layers; a color cycle diverges."""
+def _chain(system: BudSystem) -> int:
+    """The longest chain of arity-1 rules; a color cycle diverges."""
     ok, chain = system.ff_check()
     if not ok:
         raise DivergenceError("arity-1 rules admit a color cycle")
-    # bound 0 still takes one round to see the zero truncation
-    return degree_bound(max(bound, 1), chain) + 2
+    return chain
 
 
 def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
-    """{a: f_a} for the fixpoint of f_a = y_a + g_a(f_c1, .., f_ck) with
-    y_c = 0 for each color c not in `variables`: the treelike expressions
-    by output color and input type, for the types supported on
-    `variables` (setting a variable to 0 commutes with composition) and
-    inside the box if given (a tree's type bounds its subtrees')."""
-    cap = _round_cap(system, bound)
+    """{a: f_a} for the fixpoint of f_a = y_a + g_a(f_c1, .., f_ck): the
+    treelike expressions by output color and input type, degree slice by
+    degree slice.  A product of j >= 2 of the f_c takes only slices below
+    d into its slice d, so slice d of f starts from y and the rules of
+    arity >= 2 over the finished slices; the arity-1 rules then add
+    increments, which vanish within chain + 1 rounds."""
+    chain = _chain(system)
+    colors = system.colors
+    k = len(colors)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    # slices[tau][d] is slice d of the product of the f_c^tau_c; slices of
+    # a unit tau are those of f_c, and a wider tau is f_c times tau - 1_c,
+    # c its first color
+    slices: dict = {u: [{}] for u in units}
+    f = [slices[u] for u in units]
+    split: dict = {}
+
+    def product_of(tau: tuple) -> None:
+        if tau not in slices:
+            i = next(i for i, e in enumerate(tau) if e)
+            rest = tau[:i] + (tau[i] - 1,) + tau[i + 1:]
+            slices[tau] = [{}]
+            split[tau] = (i, rest)
+            product_of(rest)
+
+    index = {a: i for i, a in enumerate(colors)}
+    wide, linear = [], [[] for _ in colors]
+    for (a, tau), n in chi_table(system).items():
+        if sum(tau) == 1:
+            linear[index[a]].append((tau.index(1), n))
+        elif sum(tau) <= bound:
+            wide.append((index[a], tau, n))
+            product_of(tau)
+    for d in range(1, bound + 1):
+        for tau, (i, rest) in split.items():
+            acc: dict = {}
+            for j in range(1, d - sum(rest) + 1):
+                p, q = f[i][j], slices[rest][d - j]
+                if p and q:
+                    _add(acc, _mul(p, q, d, box))
+            slices[tau].append(acc)
+        delta = [{units[i]: 1} if d == 1 and a in variables else {}
+                 for i, a in enumerate(colors)]
+        for i, tau, n in wide:
+            _add(delta[i], slices[tau][d], n)
+        new = [{} for _ in colors]
+        for _ in range(chain + 2):
+            if not any(delta):
+                break
+            for i in range(k):
+                _add(new[i], delta[i])
+            nxt = [{} for _ in colors]
+            for i in range(k):
+                for j, n in linear[i]:
+                    _add(nxt[i], delta[j], n)
+            delta = nxt
+        else:
+            raise DivergenceError("functional system did not stabilize")
+        for i in range(k):
+            f[i].append(new[i])
+    return {a: {m: c for s in f[i] for m, c in s.items()}
+            for i, a in enumerate(colors)}
+
+
+def _sync_layers(system: BudSystem, bound: int, variables, box=None):
+    """L^0_a = y_a, L^(h+1)_a = g_a(L^h_c1, .., L^h_ck), built from the
+    leaves: the perfect expressions of height h by output color and input
+    type."""
     g = _g_polys(system)
-    y = {a: _y(system, a, bound) if a in variables else {}
-         for a in system.colors}
-    f: dict = {a: {} for a in system.colors}
-    for _ in range(cap):
-        powers = _powers(system, f)
-        nxt = {a: _add(_compose(g[a], powers, bound, box), y[a])
-               for a in system.colors}
-        if nxt == f:
-            return f
-        f = nxt
-    raise DivergenceError("functional system did not stabilize")
-
-
-def _sync_layers(system: BudSystem, color: str, bound: int):
-    """L^0 = y_color, L^(h+1) = L^h(g_c1, .., g_ck): the perfect
-    expressions of output color `color` and height h, by input type."""
-    powers = _powers(system, _g_polys(system))
-    layer = _y(system, color, bound)
+    one = (0,) * len(system.colors)
+    layer = {a: _y(system, a, bound) if a in variables else {}
+             for a in system.colors}
     while True:
         yield layer
-        layer = _compose(layer, powers, bound)
+        powers = [[{one: 1}, layer[c]] for c in system.colors]
+        layer = {a: _compose(g[a], powers, bound, box) for a in system.colors}
 
 
-def _solve_sync(system: BudSystem, color: str, bound: int) -> dict:
-    """f_color for f_a = y_a + f_a(g_c1, .., g_ck): the sum of the layers
+def _solve_sync(system: BudSystem, bound: int, variables, box=None) -> dict:
+    """{a: f_a} for f_a = y_a + f_a(g_c1, .., g_ck): the sum of the layers
     up to the first empty one."""
-    cap = _round_cap(system, bound)
-    f: dict = {}
-    for layer, _ in zip(_sync_layers(system, color, bound), range(cap)):
-        if not layer:
+    # bound 0 still takes one layer to see the zero truncation
+    cap = degree_bound(max(bound, 1), _chain(system)) + 2
+    f: dict = {a: {} for a in system.colors}
+    for layer, _ in zip(_sync_layers(system, bound, variables, box),
+                        range(cap)):
+        if not any(layer.values()):
             return f
-        _add(f, layer)
+        for a, p in layer.items():
+            _add(f[a], p)
     raise DivergenceError("functional system did not stabilize")
 
 
-def _cached(system: BudSystem, key, bound: int, solve):
-    """solve(bound), cached per system; a result computed at a larger
-    bound serves every smaller one."""
+def _table(system: BudSystem, bound: int, synchronous: bool, variables,
+           box=None) -> dict:
+    """{a: f_a} at a bound of at least `bound`, exact on the types
+    supported on `variables` and inside the box, cached per system; a
+    table solved at a larger bound serves every smaller one."""
+    solve = _solve_sync if synchronous else _solve_synt
+    key = ("colt_sync" if synchronous else "colt_synt",
+           frozenset(variables), box)
     hit = system._cache.get(key)
     if hit is None or hit[0] < bound:
-        hit = system._cache[key] = (bound, solve(bound))
+        hit = system._cache[key] = (bound, solve(system, bound, key[1], box))
     return hit[1]
-
-
-def _poly(system: BudSystem, color: str, bound: int, synchronous: bool,
-          variables) -> dict:
-    """f_color at a bound of at least `bound`, exact on the types
-    supported on the colors `variables` (synt drops the other types)."""
-    if synchronous:
-        return _cached(system, ("colt_sync", color), bound,
-                       lambda n: _solve_sync(system, color, n))
-    variables = frozenset(variables)
-    return _cached(system, ("colt_synt", variables), bound,
-                   lambda n: _solve_synt(system, n, variables))[color]
 
 
 def _coeff(system: BudSystem, color: str, alpha, synchronous: bool) -> int:
@@ -202,11 +246,8 @@ def _coeff(system: BudSystem, color: str, alpha, synchronous: bool) -> int:
     if not any(alpha):
         return 0  # no element has arity 0, even on a color cycle
     support = [c for c, e in zip(system.colors, alpha) if e]
-    if synchronous:
-        return _poly(system, color, sum(alpha), True, support).get(alpha, 0)
-    box = _cached(system, ("colt_synt_box", alpha), sum(alpha),  # alpha only
-                  lambda n: _solve_synt(system, n, support, alpha))
-    return box[color].get(alpha, 0)
+    return _table(system, sum(alpha), synchronous, support,
+                  alpha)[color].get(alpha, 0)
 
 
 def colt_synt_coeff(system: BudSystem, color: str, alpha) -> int:
@@ -239,15 +280,12 @@ def _counting_series(system: BudSystem, bound: int, synchronous: bool):
         unambiguous = system.is_unambiguous(probe)
         series = system.synt_series
     if unambiguous:
-        terminal = [c in system.terminal for c in system.colors]
         counts = [0] * bound
+        table = _table(system, bound, synchronous, system.terminal)
         for a in system.initial:
-            for alpha, c in _poly(system, a, bound, synchronous,
-                                  system.terminal).items():
-                n = sum(alpha)
-                if n <= bound and all(t or not e
-                                      for t, e in zip(terminal, alpha)):
-                    counts[n - 1] += c
+            for alpha, c in table[a].items():
+                if sum(alpha) <= bound:
+                    counts[sum(alpha) - 1] += c
         return counts, "type-recurrence"
     full = series(bound)
     counts = [len(full.support_slice(n)) for n in range(1, bound + 1)]
@@ -299,11 +337,9 @@ def g_poly(system: BudSystem) -> dict:
 
 
 def _solved(system: BudSystem, bound: int, synchronous: bool) -> dict:
-    return _in_y(system, {
-        a: {m: c for m, c in _poly(system, a, bound, synchronous,
-                                   system.colors).items()
-            if sum(m) <= bound}
-        for a in system.colors})
+    table = _table(system, bound, synchronous, system.colors)
+    return _in_y(system, {a: {m: c for m, c in p.items() if sum(m) <= bound}
+                          for a, p in table.items()})
 
 
 def solve_synt_system(system: BudSystem, bound: int) -> dict:
@@ -323,11 +359,10 @@ def sync_iterates(system: BudSystem, ell: int, bound: int) -> list:
     each truncated at total degree `bound` (but for f^(0)): the partial
     sums of the layers of the synchronous system."""
     colors = system.colors
-    iterates = [{} for _ in range(ell + 1)]
-    for a in colors:
-        total: dict = {}
-        for f, layer in zip(iterates, _sync_layers(system, a, bound)):
-            f[a] = dict(_add(total, layer))
+    total: dict = {a: {} for a in colors}
+    iterates = []
+    for layer, _ in zip(_sync_layers(system, bound, colors), range(ell + 1)):
+        iterates.append({a: dict(_add(total[a], layer[a])) for a in colors})
     iterates[0] = {a: _y(system, a, 1) for a in colors}  # not truncated
     return [_in_y(system, f) for f in iterates]
 

@@ -108,6 +108,17 @@ def test_exit_code_bad_input():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("command,bound", [
+    ("check", "-3"), ("graph", "0"), ("enumerate", "0"), ("series", "0"),
+    ("colt", "-1")])
+def test_arity_bound_below_1_is_an_input_error(command, bound):
+    # rejected before any output, by every command that takes the bound
+    proc = run_main([command, "--builtin", "bbt", "--max-arity", bound])
+    assert proc.returncode == 1
+    assert proc.stderr == "error: --max-arity must be >= 1\n"
+    assert proc.stdout == ""
+
+
 def test_exit_code_divergence(tmp_path):
     cyclic = {
         "name": "cyclic",

@@ -1,6 +1,7 @@
 """Differential test: the series of small random systems against the
 brute-force syntax-tree oracle `all_treelike`, and the type recurrences
-against the colt pushforward of the series.
+(coefficients and counting series) against the colt pushforward and the
+per-arity sums of the series.
 
 The systems have 1-3 colors over AsOperad, MagOperad or a random
 FreeOperad signature, arity-1 rules only from a lower to a higher color
@@ -23,7 +24,12 @@ from budgen.operads import (
     st_is_perfect,
 )
 from budgen.systems import BudSystem
-from budgen.typecount import colt_synt_coeff, colt_sync_coeff
+from budgen.typecount import (
+    colt_synt_coeff,
+    colt_sync_coeff,
+    lang_counting_series,
+    sync_counting_series,
+)
 
 MAX_BOUND = 4
 
@@ -106,6 +112,15 @@ def test_series_of_random_systems_match_the_oracles(case):
     for kind, middle in (("hook", hook), ("synt", synt), ("sync", sync)):
         assert getattr(system, kind + "_series")(bound) == \
             system._filtered(middle, bound)
+    # the type recurrence of the counting series, solved over the terminal
+    # colors only, counts the terms of the system series
+    for counting, series in ((lang_counting_series, system.synt_series),
+                             (sync_counting_series, system.sync_series)):
+        counts, method = counting(system, bound)
+        if method == "type-recurrence":
+            f = series(bound)
+            assert counts == [sum(f.coeff(x) for x in f.support_slice(n))
+                              for n in range(1, bound + 1)]
     synt_table = S.colt_table(synt)
     sync_table = S.colt_table(sync)
     for color in system.colors:

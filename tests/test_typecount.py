@@ -253,6 +253,31 @@ def test_box_tables_give_the_values_of_the_series():
     assert solve_synt_system(b2, bound) == solve_synt_system(fresh, bound)
 
 
+def test_box_coefficient_of_b3_at_every_color():
+    # a type that uses every color solves only the types below it
+    assert colt_synt_coeff(builtin("b3"), "1", (2, 2, 2, 2, 2)) == 8_774_640
+
+
+def test_counting_series_at_large_bounds():
+    assert lang_counting_series(builtin("bs"), 16) == (
+        [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012,
+         742900, 2674440, 9694845], "type-recurrence")
+    assert sync_counting_series(builtin("b3"), 18) == (
+        [1, 1, 1, 1, 3, 2, 2, 6, 9, 15, 15, 17, 41, 77, 125, 178, 252, 376],
+        "type-recurrence")
+
+
+def test_synt_system_of_bbt_at_degree_16():
+    # bbt is ambiguous, so its language counts take the support; its
+    # treelike expressions over the terminal color y_1 are f_1(y_1, 0)
+    f = solve_synt_system(builtin("bbt"), 16)
+    poly = sp.Poly(f["1"].subs(Y2, 0), Y1)
+    assert [poly.coeff_monomial(Y1 ** n) for n in range(1, 17)] == [
+        1, 3, 18, 135, 1134, 10206, 96228, 938223, 9382230, 95698746,
+        991787004, 10413763542, 110546105292, 1184422556700, 12791763612360,
+        139110429284415]
+
+
 def _types(k, n):
     """All k-tuples of nonnegative ints that sum to n."""
     if k == 1:
