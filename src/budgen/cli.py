@@ -144,11 +144,8 @@ def cmd_graph(system_file, builtin_name, gamma, arities, max_arity, sync, fmt):
     if fmt == "dot":
         click.echo(graph.to_dot())
     else:
-        op = system.bud
-        for (x, y) in sorted(graph.edges,
-                             key=lambda e: (op.key(e[0]), op.key(e[1]))):
-            click.echo("%s -> %s [%d]"
-                       % (op.dumps(x), op.dumps(y), graph.edges[(x, y)]))
+        for x, y, mult in graph.serialized()[1]:
+            click.echo("%s -> %s [%d]" % (x, y, mult))
 
 
 @cli.command(name="check")

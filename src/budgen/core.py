@@ -271,13 +271,5 @@ def type_of(u: Sequence[str], colors: Sequence[str]) -> tuple[int, ...]:
     return tuple(counts[c] for c in colors)
 
 
-def type_deg(alpha: Sequence[int]) -> int:
-    return sum(alpha)
-
-
-def type_add(alpha: Sequence[int], beta: Sequence[int]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(alpha, beta))
-
-
 def dumps_type(alpha: Sequence[int]) -> str:
     return ",".join(str(a) for a in alpha)

@@ -63,10 +63,9 @@ class Series:
     def dumps(self) -> str:
         """Sorted `coeff * element` lines, ordered by (arity, serialization)."""
         op = self.operad
-        lines = []
-        for x in sorted(self.coeffs, key=op.key):
-            lines.append("%s * %s" % (self.coeffs[x], op.dumps(x)))
-        return "\n".join(lines)
+        rows = sorted(((op.arity(x), op.dumps(x), c)
+                       for x, c in self.coeffs.items()), key=lambda row: row[:2])
+        return "\n".join("%s * %s" % (c, text) for _, text, c in rows)
 
 
 def characteristic(operad: Operad, elements, bound: int) -> Series:

@@ -15,8 +15,8 @@ whose supports are the language and the synchronous language.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
-from itertools import product
 from typing import Iterable, Sequence
 
 from .core import MONO, BudgenError, BudOperad, DivergenceError, Operad
@@ -55,6 +55,8 @@ class BudSystem:
         self.terminal = tuple(dict.fromkeys(terminal))
         self.name = name
         self._cache: dict = {}
+        # the rules by output color and arity: argument pools of S._substitute
+        self._rule_pools = S._pools(self.bud, [(r, 1) for r in self.rules])
 
     @property
     def monochrome(self) -> bool:
@@ -126,22 +128,28 @@ class BudSystem:
 
     # -- derivations ---------------------------------------------------------
 
-    def successors(self, x) -> Counter:
-        """One-step derivations x -> x o_i r, with multiplicities."""
+    def successors(self, x, bound: int | None = None) -> Counter:
+        """One-step derivations x -> x o_i r, with multiplicities; with a
+        bound, only those of arity <= bound.  x o_i r has arity
+        |x| + |r| - 1, so the rules too wide for the bound are skipped
+        before any composition."""
         result: Counter = Counter()
-        ins = self.bud.ins(x)
-        for r in self.rules:
-            out_r = self.bud.out(r)
-            for i in range(1, len(ins) + 1):
-                if ins[i - 1] == out_r:
-                    result[self.bud._compose(x, i, r)] += 1
+        room = math.inf if bound is None else bound + 1 - self.bud.arity(x)
+        for i, c in enumerate(self.bud.ins(x), 1):
+            for n_r, r, _ in self._rule_pools.get(c, {}).get(0, ()):
+                if n_r > room:
+                    break
+                result[self.bud._compose(x, i, r)] += 1
         return result
 
-    def sync_successors(self, x) -> Counter:
-        """One-step synchronous derivations x -> x o [r_1..r_n]."""
-        pools = [[r for r in self.rules if self.bud.out(r) == c]
-                 for c in self.bud.ins(x)]
-        return Counter(self.bud._full_compose(x, p) for p in product(*pools))
+    def sync_successors(self, x, bound: int | None = None) -> Counter:
+        """One-step synchronous derivations x -> x o [r_1..r_n]; with a
+        bound, only those of arity <= bound, pruned by the arity budget
+        of the series products' argument enumerator."""
+        result: Counter = Counter()
+        hi = math.inf if bound is None else bound
+        S._substitute(self.bud, x, 1, self._rule_pools, 0, hi, result)
+        return result
 
     def derivation_graph(self, bound: int, synchronous: bool = False):
         """BFS closure from the initial units, restricted to arity <= bound.
@@ -155,11 +163,9 @@ class BudSystem:
         edges: dict = {}
         while frontier:
             nxt = []
-            for x in sorted(frontier, key=self.bud.key):
-                for y, mult in step(x).items():
-                    if self.bud.arity(y) > bound:
-                        continue
-                    edges[(x, y)] = edges.get((x, y), 0) + mult
+            for x in frontier:  # each vertex is expanded once
+                for y, mult in step(x, bound).items():
+                    edges[(x, y)] = mult
                     if y not in vertices:
                         vertices.add(y)
                         nxt.append(y)
@@ -214,14 +220,24 @@ class DerivGraph:
         self._paths[src] = table
         return table
 
-    def to_dot(self) -> str:
+    def serialized(self) -> tuple[list, list]:
+        """The vertices as text, and the edges as (x text, y text,
+        multiplicity), both ordered by the (arity, serialization) keys
+        (of x, then of y); each vertex is serialized once."""
         op = self.system.bud
+        key = {v: op.key(v) for v in self.vertices}
+        vertices = [text for _, text in sorted(key.values())]
+        edges = [(key[x][1], key[y][1], self.edges[(x, y)])
+                 for x, y in sorted(self.edges,
+                                    key=lambda e: (key[e[0]], key[e[1]]))]
+        return vertices, edges
+
+    def to_dot(self) -> str:
+        vertices, edges = self.serialized()
         lines = ["digraph derivations {"]
-        for v in sorted(self.vertices, key=op.key):
-            lines.append('  "%s";' % op.dumps(v))
-        for (x, y) in sorted(self.edges, key=lambda e: (op.key(e[0]), op.key(e[1]))):
-            for _ in range(self.edges[(x, y)]):
-                lines.append('  "%s" -> "%s";' % (op.dumps(x), op.dumps(y)))
+        lines.extend('  "%s";' % v for v in vertices)
+        for x, y, mult in edges:
+            lines.extend(['  "%s" -> "%s";' % (x, y)] * mult)
         lines.append("}")
         return "\n".join(lines)
 

@@ -73,6 +73,21 @@ def test_graph_text_output():
     result = run_ok(["graph", "--builtin", "bdias", "--gamma", "1",
                      "--max-arity", "2", "--format", "text"])
     assert result.output.splitlines() == ["0 -> 01 [1]", "0 -> 10 [1]"]
+    result = run_ok(["graph", "--builtin", "bdias", "--gamma", "1",
+                     "--max-arity", "3", "--format", "text"])
+    assert result.output.splitlines() == [
+        "0 -> 01 [1]", "0 -> 10 [1]", "01 -> 011 [3]", "01 -> 101 [1]",
+        "10 -> 101 [1]", "10 -> 110 [3]"]
+    # edges sort by the source key first, then by the target key
+    result = run_ok(["graph", "--builtin", "bbt", "--max-arity", "3",
+                     "--sync", "--format", "text"])
+    assert result.output.splitlines()[3:] == [
+        "1:c(*,*):1,2 -> 1:c(c(*,*),*):1,1,1 [1]",
+        "1:c(*,*):1,2 -> 1:c(c(*,*),*):1,2,1 [1]",
+        "1:c(*,*):1,2 -> 1:c(c(*,*),*):2,1,1 [1]",
+        "1:c(*,*):2,1 -> 1:c(*,c(*,*)):1,1,1 [1]",
+        "1:c(*,*):2,1 -> 1:c(*,c(*,*)):1,1,2 [1]",
+        "1:c(*,*):2,1 -> 1:c(*,c(*,*)):1,2,1 [1]"]
 
 
 def test_colt_csv_header_and_rows():

@@ -10,8 +10,6 @@ from budgen.core import (
     colorize,
     dumps_type,
     prune,
-    type_add,
-    type_deg,
     type_of,
 )
 
@@ -127,8 +125,6 @@ def test_prune_and_colorize():
 def test_type_helpers():
     colors = ("1", "2", "3")
     assert type_of(("1", "3", "1"), colors) == (2, 0, 1)
-    assert type_deg((2, 0, 1)) == 3
-    assert type_add((1, 0, 0), (0, 2, 1)) == (1, 2, 1)
     assert dumps_type((2, 0, 1)) == "2,0,1"
     with pytest.raises(BudgenError):
         type_of(("9",), colors)

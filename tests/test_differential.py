@@ -1,15 +1,18 @@
 """Differential test: the series of small random systems against the
-brute-force syntax-tree oracle `all_treelike`, and the type recurrences
+brute-force syntax-tree oracle `all_treelike`, the type recurrences
 (coefficients and counting series) against the colt pushforward and the
-per-arity sums of the series.
+per-arity sums of the series, and the bounded successors and derivation
+graphs against filtered unbounded successors.
 
 The systems have 1-3 colors over AsOperad, MagOperad or a random
 FreeOperad signature, arity-1 rules only from a lower to a higher color
 (so they are finitely factorizing), and rules up to one above the bound.
 """
 
+from collections import Counter
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import budgen.series as S
@@ -23,7 +26,7 @@ from budgen.operads import (
     hook_count,
     st_is_perfect,
 )
-from budgen.systems import BudSystem
+from budgen.systems import BUILTIN_NAMES, BudSystem, builtin
 from budgen.typecount import (
     colt_synt_coeff,
     colt_sync_coeff,
@@ -128,3 +131,60 @@ def test_series_of_random_systems_match_the_oracles(case):
             key = (color, alpha)
             assert colt_synt_coeff(system, color, alpha) == synt_table.get(key, 0)
             assert colt_sync_coeff(system, color, alpha) == sync_table.get(key, 0)
+
+
+def _product_sync_successors(system, x) -> Counter:
+    """x o [r_1..r_n] over the whole product of the rule pools."""
+    op = system.bud
+    pools = [[r for r in system.rules if op.out(r) == c] for c in op.ins(x)]
+    return Counter(op.full_compose(x, p) for p in product(*pools))
+
+
+def _naive_graph(system, bound: int, synchronous: bool):
+    """BFS over the unbounded successors, dropping those above the bound."""
+    op = system.bud
+    step = system.sync_successors if synchronous else system.successors
+    frontier = [op.unit(c) for c in system.initial]
+    vertices, edges = set(frontier), {}
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y, mult in step(x).items():
+                if op.arity(y) > bound:
+                    continue
+                edges[(x, y)] = edges.get((x, y), 0) + mult
+                if y not in vertices:
+                    vertices.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return vertices, edges
+
+
+def _check_bounded_successors(system, bound: int) -> None:
+    op = system.bud
+    for synchronous in (False, True):
+        graph = system.derivation_graph(bound, synchronous)
+        vertices, edges = _naive_graph(system, bound, synchronous)
+        assert graph.vertices == vertices
+        assert graph.edges == edges
+        for x in vertices:
+            for step in (system.successors, system.sync_successors):
+                full = step(x)
+                for b in range(1, bound + 2):
+                    assert step(x, b) == Counter(
+                        {y: m for y, m in full.items() if op.arity(y) <= b})
+            assert system.sync_successors(x) == \
+                _product_sync_successors(system, x)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(random_systems())
+def test_bounded_successors_of_random_systems(case):
+    system, bound = case
+    _check_bounded_successors(system, bound)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_bounded_successors_of_presets(name):
+    kwargs = {"bdias": {"gamma": 2}, "btree": {"arities": [2, 3]}}
+    _check_bounded_successors(builtin(name, **kwargs.get(name, {})), 4)

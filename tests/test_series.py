@@ -35,6 +35,23 @@ def test_series_dumps_sorted():
     assert f.dumps() == "1 * 1\n5 * 2\n2 * 3"
 
 
+def test_series_dumps_orders_by_arity_then_serialization():
+    f = S.Series(BUD, 3, {
+        BUD.element("2", 2, ("1", "1")): Fraction(-1, 2),
+        BUD.element("1", 3, ("1", "1", "1")): 7,
+        BUD.element("1", 2, ("2", "1")): -3,
+        BUD.element("2", 1, ("2",)): Fraction(5, 3),
+        BUD.element("1", 2, ("1", "2")): Fraction(2),
+    })
+    # "2:2:1,1" sorts before "1:3:1,1,1": arity first, then the text
+    assert f.dumps() == ("5/3 * 2:1:2\n"
+                         "2 * 1:2:1,2\n"
+                         "-3 * 1:2:2,1\n"
+                         "-1/2 * 2:2:1,1\n"
+                         "7 * 1:3:1,1,1")
+    assert S.Series(BUD, 3, {}).dumps() == ""
+
+
 def test_linear_operations():
     f = S.characteristic(AS, [1, 2], 4)
     g = S.characteristic(AS, [2, 3], 4)

@@ -101,6 +101,31 @@ def test_derivation_graph_and_multipath():
     assert dot.startswith("digraph") and '"0" -> "01";' in dot
 
 
+def test_graph_to_dot_text_is_frozen():
+    assert builtin("bp").derivation_graph(4).to_dot() == (
+        'digraph derivations {\n'
+        '  "1::1";\n'
+        '  "1:H:2,2";\n'
+        '  "1:UD:1,1,1";\n'
+        '  "1:HUD:2,2,1,1";\n'
+        '  "1:UDH:1,1,2,2";\n'
+        '  "1:UHD:1,2,2,1";\n'
+        '  "1::1" -> "1:H:2,2";\n'
+        '  "1::1" -> "1:UD:1,1,1";\n'
+        '  "1:UD:1,1,1" -> "1:HUD:2,2,1,1";\n'
+        '  "1:UD:1,1,1" -> "1:UDH:1,1,2,2";\n'
+        '  "1:UD:1,1,1" -> "1:UHD:1,2,2,1";\n'
+        '}')
+    # an edge of multiplicity 3 is printed three times
+    assert builtin("bdias", gamma=1).derivation_graph(3).to_dot() == (
+        'digraph derivations {\n'
+        '  "0";\n  "01";\n  "10";\n  "011";\n  "101";\n  "110";\n'
+        '  "0" -> "01";\n  "0" -> "10";\n'
+        + '  "01" -> "011";\n' * 3 + '  "01" -> "101";\n'
+        '  "10" -> "101";\n'
+        + '  "10" -> "110";\n' * 3 + '}')
+
+
 def test_bp_graph_edges():
     bp = builtin("bp")
     graph = bp.derivation_graph(4)
