@@ -62,9 +62,6 @@ class Operad:
     def unit(self, c: str):
         raise NotImplementedError
 
-    def is_unit(self, x) -> bool:
-        return self.arity(x) == 1 and x == self.unit(self.out(x))
-
     def compose(self, x, i: int, y):
         """Partial composition x o_i y (1-based position)."""
         self._check_colors(x, i, y)
@@ -73,11 +70,6 @@ class Operad:
     def _compose(self, x, i: int, y):
         """x o_i y for a position and colors the caller has already matched."""
         raise NotImplementedError
-
-    def composable(self, x, i: int, y) -> bool:
-        if not 1 <= i <= self.arity(x):
-            return False
-        return self.in_color(x, i) == self.out(y)
 
     def full_compose(self, x, ys: Sequence):
         """Complete composition: substitute ys[j] at every input of x.

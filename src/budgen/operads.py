@@ -481,11 +481,6 @@ class FreeOperad(Operad):
             offset += a
         raise BudgenError("leaf %d not found" % i)  # pragma: no cover
 
-    def degree(self, x) -> int:
-        if x[0] == UNIT_TAG:
-            return 0
-        return 1 + sum(0 if c == LEAF else self.degree(c) for c in x[1:])
-
     def dumps(self, x) -> str:
         return dumps_term(x)
 

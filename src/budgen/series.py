@@ -18,9 +18,6 @@ from math import comb
 from .core import BudgenError, BudOperad, DivergenceError, Operad, type_of
 from .operads import AsOperad, degree_bound, finitely_factorizing_check
 
-ZERO = 0
-ONE = 1
-
 
 class Series:
     """Sparse finite map from operad elements of arity <= bound to scalars."""
@@ -42,7 +39,7 @@ class Series:
         self.coeffs = cleaned
 
     def coeff(self, x):
-        return self.coeffs.get(x, ZERO)
+        return self.coeffs.get(x, 0)
 
     def support(self):
         return set(self.coeffs)
@@ -69,7 +66,7 @@ class Series:
 
 
 def characteristic(operad: Operad, elements, bound: int) -> Series:
-    return Series(operad, bound, {x: ONE for x in elements})
+    return Series(operad, bound, {x: 1 for x in elements})
 
 
 def units_series(operad: Operad, bound: int, colors=None) -> Series:
@@ -82,7 +79,7 @@ def add(f: Series, g: Series) -> Series:
     _check_compat(f, g)
     coeffs = dict(f.coeffs)
     for x, c in g.coeffs.items():
-        coeffs[x] = coeffs.get(x, ZERO) + c
+        coeffs[x] = coeffs.get(x, 0) + c
     return Series(f.operad, f.bound, coeffs)
 
 
@@ -95,7 +92,7 @@ def scale(scalar, f: Series) -> Series:
 
 
 def scalar_product(f: Series, g: Series):
-    total = ZERO
+    total = 0
     for x, c in f.coeffs.items():
         d = g.coeffs.get(x)
         if d is not None:
@@ -110,38 +107,36 @@ def _check_compat(f: Series, g: Series) -> None:
         raise BudgenError("operad mismatch")
 
 
-def pre_lie(f: Series, g: Series, bound: int | None = None) -> Series:
+def pre_lie(f: Series, g: Series) -> Series:
     """One-position composition product: sums coeff(y)*coeff(z) onto y o_i z."""
     _check_compat(f, g)
     op = f.operad
-    n_max = bound if bound is not None else f.bound
     g_items = [(z, cz, op.arity(z), op.out(z)) for z, cz in g.coeffs.items()]
     coeffs: dict = {}
     for y, cy in f.coeffs.items():
         ny = op.arity(y)
         ins_y = op.ins(y)
         for z, cz, nz, out_z in g_items:
-            if ny + nz - 1 > n_max:
+            if ny + nz - 1 > f.bound:
                 continue
             w = cy * cz
             for i in range(1, ny + 1):
                 if ins_y[i - 1] != out_z:
                     continue
                 x = op._compose(y, i, z)
-                coeffs[x] = coeffs.get(x, ZERO) + w
-    return Series(op, n_max, coeffs)
+                coeffs[x] = coeffs.get(x, 0) + w
+    return Series(op, f.bound, coeffs)
 
 
-def compose_prod(f: Series, g: Series, bound: int | None = None) -> Series:
+def compose_prod(f: Series, g: Series) -> Series:
     """All-positions composition product: substitutes one g-term per input."""
     _check_compat(f, g)
     op = f.operad
-    n_max = bound if bound is not None else f.bound
     pools = _pools(op, g.coeffs.items())
     coeffs: dict = {}
     for y, cy in f.coeffs.items():
-        _substitute(op, y, cy, pools, 1, n_max, coeffs)
-    return Series(op, n_max, coeffs)
+        _substitute(op, y, cy, pools, 1, f.bound, coeffs)
+    return Series(op, f.bound, coeffs)
 
 
 def _pools(op: Operad, items, nodes: int = 0, pools=None) -> dict:
@@ -174,7 +169,7 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
     def assign(j: int, arity: int, k: int, w) -> None:
         if j == m:
             x = op._full_compose(y, picks)
-            acc[x] = acc.get(x, ZERO) + w
+            acc[x] = acc.get(x, 0) + w
             return
         a0, a1, k0, k1 = rest[j + 1]
         for kz, items in choices[j].items():
@@ -214,7 +209,7 @@ def pre_lie_star(f: Series, inputs=None) -> Series:
     level = units_series(op, f.bound, inputs).coeffs
     for k in range(top + 1):  # levels in between may be empty
         for x, c in level.items():
-            coeffs[x] = coeffs.get(x, ZERO) + c
+            coeffs[x] = coeffs.get(x, 0) + c
         _pools(op, level.items(), k, pools)
         level = {}
         for y, cy in f.coeffs.items():
@@ -279,7 +274,7 @@ def compose_inverse(f: Series, inputs=None) -> Series:
             raise BudgenError("missing unit coefficient for color %r" % c)
     weights = {}
     for x, c in rest.items():
-        denom = ONE
+        denom = 1
         for a in op.ins(x):
             denom = denom * unit_coeff[a]
         weights[x] = _divide(-c, denom)
@@ -323,7 +318,7 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
             if not delta:
                 break
             for x, c in delta.items():
-                terms[x] = terms.get(x, ZERO) + c
+                terms[x] = terms.get(x, 0) + c
             delta_pools = _pools(op, delta.items())
             delta = {}
             for y, cy in w1:
@@ -347,7 +342,7 @@ def col_series(f: Series) -> tuple[Series, BudOperad]:
     coeffs: dict = {}
     for x, c in f.coeffs.items():
         y = (op.out(x), op.arity(x), op.ins(x))
-        coeffs[y] = coeffs.get(y, ZERO) + c
+        coeffs[y] = coeffs.get(y, 0) + c
     return Series(target, f.bound, coeffs), target
 
 
@@ -359,7 +354,7 @@ def pru_series(f: Series) -> Series:
     coeffs: dict = {}
     for x, c in f.coeffs.items():
         g = x[1]
-        coeffs[g] = coeffs.get(g, ZERO) + c
+        coeffs[g] = coeffs.get(g, 0) + c
     return Series(op.ground, f.bound, coeffs)
 
 
@@ -369,7 +364,7 @@ def colt_table(f: Series) -> dict:
     table: dict = {}
     for x, c in f.coeffs.items():
         key = (op.out(x), type_of(op.ins(x), op.colors))
-        table[key] = table.get(key, ZERO) + c
+        table[key] = table.get(key, 0) + c
     return table
 
 
@@ -404,5 +399,5 @@ def mu_encode(word_coeffs: dict, alphabet, bound: int,
         if len(word) + 1 > bound:
             raise BudgenError("word %r too long for bound %d" % (word, bound))
         x = op.element(WORD_MARK, len(word) + 1, tuple(word) + (WORD_MARK,))
-        coeffs[x] = coeffs.get(x, ZERO) + c
+        coeffs[x] = coeffs.get(x, 0) + c
     return Series(op, bound, coeffs)

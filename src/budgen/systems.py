@@ -15,7 +15,6 @@ whose supports are the language and the synchronous language.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -55,8 +54,6 @@ class BudSystem:
         self.terminal = tuple(dict.fromkeys(terminal))
         self.name = name
         self._cache: dict = {}
-        # the rules by output color and arity: argument pools of S._substitute
-        self._rule_pools = S._pools(self.bud, [(r, 1) for r in self.rules])
 
     @property
     def monochrome(self) -> bool:
@@ -128,43 +125,40 @@ class BudSystem:
 
     # -- derivations ---------------------------------------------------------
 
-    def successors(self, x, bound: int | None = None) -> Counter:
-        """One-step derivations x -> x o_i r, with multiplicities; with a
-        bound, only those of arity <= bound.  x o_i r has arity
-        |x| + |r| - 1, so the rules too wide for the bound are skipped
-        before any composition."""
-        result: Counter = Counter()
-        room = math.inf if bound is None else bound + 1 - self.bud.arity(x)
-        for i, c in enumerate(self.bud.ins(x), 1):
-            for n_r, r, _ in self._rule_pools.get(c, {}).get(0, ()):
-                if n_r > room:
-                    break
-                result[self.bud._compose(x, i, r)] += 1
-        return result
+    def successors(self, x, bound: int) -> Counter:
+        """One-step derivations x -> x o_i r of arity <= bound, with
+        multiplicities: the terms of the pre-Lie product x <- r."""
+        return Counter(self._steps(S.pre_lie, x, self.rule_series(bound)))
 
-    def sync_successors(self, x, bound: int | None = None) -> Counter:
-        """One-step synchronous derivations x -> x o [r_1..r_n]; with a
-        bound, only those of arity <= bound, pruned by the arity budget
-        of the series products' argument enumerator."""
-        result: Counter = Counter()
-        hi = math.inf if bound is None else bound
-        S._substitute(self.bud, x, 1, self._rule_pools, 0, hi, result)
-        return result
+    def sync_successors(self, x, bound: int) -> Counter:
+        """One-step synchronous derivations x -> x o [r_1..r_n] of arity
+        <= bound, with multiplicities: the terms of x (.) r."""
+        return Counter(self._steps(S.compose_prod, x, self.rule_series(bound)))
+
+    def _steps(self, product, x, rules: S.Series) -> dict:
+        """The terms of product(x, rules); none when x is above their bound."""
+        if self.bud.arity(x) > rules.bound:
+            return {}
+        return product(S.characteristic(self.bud, [x], rules.bound),
+                       rules).coeffs
 
     def derivation_graph(self, bound: int, synchronous: bool = False):
-        """BFS closure from the initial units, restricted to arity <= bound.
-        An arity-1 rule on a color cycle makes the closure infinite."""
+        """BFS closure from the initial units, restricted to arity <= bound:
+        each vertex x is expanded once, into the terms of x <- r (or of
+        x (.) r).  An arity-1 rule on a color cycle makes the closure
+        infinite."""
         if not self.ff_check()[0]:
             raise DivergenceError(
                 "derivation graph diverges: arity-1 rules admit a color cycle")
-        step = self.sync_successors if synchronous else self.successors
+        product = S.compose_prod if synchronous else S.pre_lie
+        rules = self.rule_series(bound)
         frontier = [self.bud.unit(c) for c in self.initial]
         vertices = set(frontier)
         edges: dict = {}
         while frontier:
             nxt = []
-            for x in frontier:  # each vertex is expanded once
-                for y, mult in step(x, bound).items():
+            for x in frontier:
+                for y, mult in self._steps(product, x, rules).items():
                     edges[(x, y)] = mult
                     if y not in vertices:
                         vertices.add(y)
@@ -246,17 +240,17 @@ class DerivGraph:
 # JSON interchange
 
 
+# the ground kinds without parameters
+_GROUND_KINDS = {"as": AsOperad, "mag": MagOperad, "motz": MotzOperad,
+                 "aschr": ASchrOperad}
+
+
 def ground_to_json(ground: Operad) -> dict:
-    if isinstance(ground, AsOperad):
-        return {"kind": "as", "params": {}}
-    if isinstance(ground, MagOperad):
-        return {"kind": "mag", "params": {}}
+    for kind, cls in _GROUND_KINDS.items():
+        if isinstance(ground, cls):
+            return {"kind": kind, "params": {}}
     if isinstance(ground, DiasOperad):
         return {"kind": "dias", "params": {"gamma": ground.gamma}}
-    if isinstance(ground, MotzOperad):
-        return {"kind": "motz", "params": {}}
-    if isinstance(ground, ASchrOperad):
-        return {"kind": "aschr", "params": {}}
     if isinstance(ground, FreeOperad):
         gens = [{"name": name, "arity": len(ins)}
                 for name, (_, ins) in ground.spec.gens.items()]
@@ -267,16 +261,11 @@ def ground_to_json(ground: Operad) -> dict:
 def ground_from_json(data: dict) -> Operad:
     kind = data.get("kind")
     params = data.get("params", {})
-    if kind == "as":
-        return AsOperad()
-    if kind == "mag":
-        return MagOperad()
+    for name, cls in _GROUND_KINDS.items():
+        if kind == name:
+            return cls()
     if kind == "dias":
         return DiasOperad(int(params["gamma"]))
-    if kind == "motz":
-        return MotzOperad()
-    if kind == "aschr":
-        return ASchrOperad()
     if kind == "free":
         gens = [(g["name"], MONO, (MONO,) * int(g["arity"]))
                 for g in params["generators"]]

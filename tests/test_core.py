@@ -72,8 +72,6 @@ def test_bud_units():
     x = op.element("1", 2, ("2", "1"))
     assert op.compose(x, 1, u) == x
     assert op.compose(op.unit("1"), 1, x) == x
-    assert op.is_unit(u)
-    assert not op.is_unit(x)
 
 
 def test_bud_element_validation():

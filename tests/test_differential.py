@@ -1,8 +1,9 @@
 """Differential test: the series of small random systems against the
 brute-force syntax-tree oracle `all_treelike`, the type recurrences
 (coefficients and counting series) against the colt pushforward and the
-per-arity sums of the series, and the bounded successors and derivation
-graphs against filtered unbounded successors.
+per-arity sums of the series, the bounded successors and derivation
+graphs against composition references written here, and the hook and
+sync coefficients against path counts in the derivation graphs.
 
 The systems have 1-3 colors over AsOperad, MagOperad or a random
 FreeOperad signature, arity-1 rules only from a lower to a higher color
@@ -133,6 +134,14 @@ def test_series_of_random_systems_match_the_oracles(case):
             assert colt_sync_coeff(system, color, alpha) == sync_table.get(key, 0)
 
 
+def _reference_successors(system, x) -> Counter:
+    """x o_i r over every position and every rule of the right color."""
+    op = system.bud
+    return Counter(op.compose(x, i, r)
+                   for i, c in enumerate(op.ins(x), 1)
+                   for r in system.rules if op.out(r) == c)
+
+
 def _product_sync_successors(system, x) -> Counter:
     """x o [r_1..r_n] over the whole product of the rule pools."""
     op = system.bud
@@ -140,18 +149,21 @@ def _product_sync_successors(system, x) -> Counter:
     return Counter(op.full_compose(x, p) for p in product(*pools))
 
 
+def _at_most(system, steps: Counter, bound: int) -> Counter:
+    return Counter({y: m for y, m in steps.items()
+                    if system.bud.arity(y) <= bound})
+
+
 def _naive_graph(system, bound: int, synchronous: bool):
-    """BFS over the unbounded successors, dropping those above the bound."""
+    """BFS over the reference steps, dropping those above the bound."""
     op = system.bud
-    step = system.sync_successors if synchronous else system.successors
+    step = _product_sync_successors if synchronous else _reference_successors
     frontier = [op.unit(c) for c in system.initial]
     vertices, edges = set(frontier), {}
     while frontier:
         nxt = []
         for x in frontier:
-            for y, mult in step(x).items():
-                if op.arity(y) > bound:
-                    continue
+            for y, mult in _at_most(system, step(system, x), bound).items():
                 edges[(x, y)] = edges.get((x, y), 0) + mult
                 if y not in vertices:
                     vertices.add(y)
@@ -161,20 +173,18 @@ def _naive_graph(system, bound: int, synchronous: bool):
 
 
 def _check_bounded_successors(system, bound: int) -> None:
-    op = system.bud
+    steps = ((system.successors, _reference_successors),
+             (system.sync_successors, _product_sync_successors))
     for synchronous in (False, True):
         graph = system.derivation_graph(bound, synchronous)
         vertices, edges = _naive_graph(system, bound, synchronous)
         assert graph.vertices == vertices
         assert graph.edges == edges
         for x in vertices:
-            for step in (system.successors, system.sync_successors):
-                full = step(x)
+            for step, reference in steps:
+                full = reference(system, x)
                 for b in range(1, bound + 2):
-                    assert step(x, b) == Counter(
-                        {y: m for y, m in full.items() if op.arity(y) <= b})
-            assert system.sync_successors(x) == \
-                _product_sync_successors(system, x)
+                    assert step(x, b) == _at_most(system, full, b)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -184,7 +194,37 @@ def test_bounded_successors_of_random_systems(case):
     _check_bounded_successors(system, bound)
 
 
+_PRESET_KWARGS = {"bdias": {"gamma": 2}, "btree": {"arities": [2, 3]}}
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_bounded_successors_of_presets(name):
-    kwargs = {"bdias": {"gamma": 2}, "btree": {"arities": [2, 3]}}
-    _check_bounded_successors(builtin(name, **kwargs.get(name, {})), 4)
+    _check_bounded_successors(builtin(name, **_PRESET_KWARGS.get(name, {})), 4)
+
+
+def _check_path_counts(system, bound: int) -> None:
+    """A hook (sync) coefficient counts the paths from the unit of the
+    output color in the plain (synchronous) derivation graph."""
+    op = system.bud
+    terminal = set(system.terminal)
+    for synchronous, series in ((False, system.hook_series),
+                                (True, system.sync_series)):
+        graph = system.derivation_graph(bound, synchronous)
+        f = series(bound)
+        assert f.support() <= graph.vertices
+        for x in graph.vertices:
+            if terminal.issuperset(op.ins(x)):
+                assert graph.multipath_count(op.unit(op.out(x)), x) == \
+                    f.coeff(x)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(random_systems())
+def test_path_counts_of_random_systems(case):
+    system, bound = case
+    _check_path_counts(system, bound)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_path_counts_of_presets(name):
+    _check_path_counts(builtin(name, **_PRESET_KWARGS.get(name, {})), 4)

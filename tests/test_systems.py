@@ -1,13 +1,15 @@
 import pytest
 
 import budgen.series as S
-from budgen.core import MONO, BudgenError, DivergenceError
-from budgen.operads import DiasOperad, MagOperad
+from budgen.core import MONO, AsOperad, BudgenError, BudOperad, DivergenceError
+from budgen.operads import ASchrOperad, DiasOperad, MagOperad, MotzOperad
 from budgen.systems import (
     BUILTIN_NAMES,
     BudSystem,
     DerivGraph,
     builtin,
+    ground_from_json,
+    ground_to_json,
     system_dumps,
     system_from_json,
     system_loads,
@@ -67,10 +69,10 @@ def test_successors_multiplicities():
     bd = builtin("bdias", gamma=1)
     op = bd.bud
     u = op.unit(MONO)
-    succ = bd.successors(u)
+    succ = bd.successors(u, 3)
     assert sorted(op.dumps(x) for x in succ) == ["01", "10"]
     # both positions of 01 accept both rules
-    succ2 = bd.successors(op.loads("01"))
+    succ2 = bd.successors(op.loads("01"), 3)
     assert sum(succ2.values()) == 4
 
 
@@ -78,7 +80,7 @@ def test_sync_successors():
     bbt = builtin("bbt")
     op = bbt.bud
     x = op.element("1", MagOperad().corolla(), ("1", "2"))
-    succ = bbt.sync_successors(x)
+    succ = bbt.sync_successors(x, 3)
     # three rule choices at the color-1 leaf, one at the color-2 leaf
     assert sum(succ.values()) == 3
     # a leaf color with no rule kills the branch
@@ -86,7 +88,7 @@ def test_sync_successors():
                         [("1", MagOperad().corolla(), ("2", "2"))],
                         ("1",), ("2",))
     assert no_rule.sync_successors(op.element("1", MagOperad().corolla(),
-                                              ("1", "2"))) == {}
+                                              ("1", "2")), 3) == {}
 
 
 def test_derivation_graph_and_multipath():
@@ -204,6 +206,16 @@ def test_json_ground_kinds():
     again = system_loads(text)
     assert isinstance(again.ground, DiasOperad)
     assert again.ground.gamma == 3
+    for kind, cls in (("as", AsOperad), ("mag", MagOperad),
+                      ("motz", MotzOperad), ("aschr", ASchrOperad)):
+        data = {"kind": kind, "params": {}}
+        assert ground_to_json(cls()) == data
+        assert isinstance(ground_from_json(data), cls)
+    for kind in ("tree", ["as"], None):
+        with pytest.raises(BudgenError, match="unknown ground kind"):
+            ground_from_json({"kind": kind})
+    with pytest.raises(BudgenError, match="unsupported ground operad"):
+        ground_to_json(BudOperad(AsOperad(), ("1",)))
 
 
 def test_empty_initial_gives_zero_series():
@@ -225,8 +237,8 @@ def test_multipath_count_on_a_cyclic_graph_raises():
     # the one-step derivations, which go 1 -> 2 -> 1
     cyclic = _cyclic_system()
     src = cyclic.bud.unit("1")
-    (mid,) = cyclic.successors(src)
-    assert src in cyclic.successors(mid)
+    (mid,) = cyclic.successors(src, 1)
+    assert src in cyclic.successors(mid, 1)
     graph = DerivGraph(cyclic, {src, mid}, {(src, mid): 1, (mid, src): 1})
     for x in graph.vertices:
         with pytest.raises(BudgenError):
