@@ -446,34 +446,36 @@ BUILTIN_NAMES = ("bdias", "motz-nohh", "aschr-catalan", "unary-binary",
                  "hook-mag", "hook-motz")
 
 
+_PRESETS = {
+    "motz-nohh": _motz_nohh_system,
+    "aschr-catalan": _aschr_catalan_system,
+    "unary-binary": _unary_binary_system,
+    "bbt": _bbt_system,
+    "tamari-max-trees": _tamari_max_trees_system,
+    "tamari-balanced-intervals": _tamari_balanced_intervals_system,
+    "tamari-max-intervals": _tamari_max_intervals_system,
+    "hook-mag": _hook_mag_system,
+    "hook-motz": _hook_motz_system,
+}
+
+
 def builtin(name: str, gamma: int | None = None,
             arities: Sequence[int] | None = None) -> BudSystem:
-    """Construct a named preset system."""
+    """Construct a named preset system.  `gamma` is the parameter of
+    bdias and `arities` that of btree; no other preset takes either."""
     name = _BUILTIN_ALIASES.get(name, name)
+    if name not in BUILTIN_NAMES:
+        raise BudgenError("unknown preset %r" % name)
+    if gamma is not None and name != "bdias":
+        raise BudgenError("--gamma applies to the bdias preset only")
+    if arities is not None and name != "btree":
+        raise BudgenError("--arities applies to the btree preset only")
     if name == "bdias":
         if gamma is None:
             raise BudgenError("bdias needs --gamma")
         return _dias_system(gamma)
-    if name == "motz-nohh":
-        return _motz_nohh_system()
-    if name == "aschr-catalan":
-        return _aschr_catalan_system()
-    if name == "unary-binary":
-        return _unary_binary_system()
     if name == "btree":
         if not arities:
             raise BudgenError("btree needs --arities")
         return _btree_system(arities)
-    if name == "bbt":
-        return _bbt_system()
-    if name == "tamari-max-trees":
-        return _tamari_max_trees_system()
-    if name == "tamari-balanced-intervals":
-        return _tamari_balanced_intervals_system()
-    if name == "tamari-max-intervals":
-        return _tamari_max_intervals_system()
-    if name == "hook-mag":
-        return _hook_mag_system()
-    if name == "hook-motz":
-        return _hook_motz_system()
-    raise BudgenError("unknown preset %r" % name)
+    return _PRESETS[name]()

@@ -2,20 +2,44 @@ import json
 import pathlib
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
-from budgen.cli import cli
+from budgen.cli import main
 from budgen.systems import system_loads
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-def run_ok(args):
-    result = CliRunner().invoke(cli, args)
-    assert result.exit_code == 0, result.output + str(result.exception)
-    return result
+class Result(NamedTuple):
+    exit_code: int
+    output: str
+    stderr: str
+
+
+@pytest.fixture
+def invoke(capsys):
+    """Run `main(args)` in this process; its exit code and output."""
+    def run(args):
+        capsys.readouterr()
+        try:
+            main(args)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return Result(code, out, err)
+    return run
+
+
+@pytest.fixture
+def run_ok(invoke):
+    def run(args):
+        result = invoke(args)
+        assert result.exit_code == 0, result.stderr
+        return result
+    return run
 
 
 def run_main(args, input_text=None):
@@ -42,18 +66,18 @@ def test_enumerate_csv_and_sync():
         "1,1", "2,1", "3,2", "4,1", "5,4", "6,6"]
 
 
-def test_series_hook_shows_multiplicity():
+def test_series_hook_shows_multiplicity(run_ok):
     result = run_ok(["series", "--builtin", "bdias", "--gamma", "1",
                      "--kind", "hook", "--max-arity", "4"])
     assert "2 * 101" in result.output
 
 
-def test_series_requires_exactly_one_source():
-    result = CliRunner().invoke(cli, ["series"])
+def test_series_requires_exactly_one_source(invoke):
+    result = invoke(["series"])
     assert result.exit_code != 0
 
 
-def test_check_reports_ambiguity():
+def test_check_reports_ambiguity(run_ok):
     result = run_ok(["check", "--builtin", "bdias", "--gamma", "1",
                      "--max-arity", "3"])
     assert "finitely_factorizing=true" in result.output
@@ -61,7 +85,7 @@ def test_check_reports_ambiguity():
     assert "faithful=true" in result.output
 
 
-def test_graph_dot_output():
+def test_graph_dot_output(run_ok):
     result = run_ok(["graph", "--builtin", "bp", "--max-arity", "4",
                      "--format", "dot"])
     assert result.output.startswith("digraph")
@@ -69,7 +93,7 @@ def test_graph_dot_output():
     assert '"1:H:2,2" ->' not in result.output
 
 
-def test_graph_text_output():
+def test_graph_text_output(run_ok):
     result = run_ok(["graph", "--builtin", "bdias", "--gamma", "1",
                      "--max-arity", "2", "--format", "text"])
     assert result.output.splitlines() == ["0 -> 01 [1]", "0 -> 10 [1]"]
@@ -90,7 +114,7 @@ def test_graph_text_output():
         "1:c(*,*):2,1 -> 1:c(*,c(*,*)):1,2,1 [1]"]
 
 
-def test_colt_csv_header_and_rows():
+def test_colt_csv_header_and_rows(run_ok):
     result = run_ok(["colt", "--builtin", "bbt", "--kind", "sync",
                      "--max-arity", "4"])
     lines = result.output.strip().splitlines()
@@ -98,7 +122,7 @@ def test_colt_csv_header_and_rows():
     assert all(line.count(",") >= 2 for line in lines[1:])
 
 
-def test_compile_round_trip(tmp_path):
+def test_compile_round_trip(tmp_path, run_ok):
     for name in ["dyck.cfg", "bintree.rtg", "balanced.sg"]:
         result = run_ok(["compile", str(DATA / name)])
         system = system_loads(result.output)
@@ -106,12 +130,12 @@ def test_compile_round_trip(tmp_path):
         json.loads(result.output)  # well-formed JSON
 
 
-def test_compile_kind_override(tmp_path):
+def test_compile_kind_override(tmp_path, run_ok, invoke):
     path = tmp_path / "grammar.txt"
     path.write_text((DATA / "anbn.cfg").read_text())
     result = run_ok(["compile", str(path), "--kind", "cfg"])
     assert '"kind": "as"' in result.output
-    bad = CliRunner().invoke(cli, ["compile", str(path)])
+    bad = invoke(["compile", str(path)])
     assert bad.exit_code != 0
 
 
@@ -174,7 +198,7 @@ terminal: 2
 
 
 @pytest.mark.parametrize("kind", ["hook", "synt", "sync"])
-def test_series_on_a_color_cycle_exits_2(tmp_path, kind):
+def test_series_on_a_color_cycle_exits_2(tmp_path, kind, run_ok):
     # the arity-1 rule 2 -> n1(2) is a color cycle
     grammar = tmp_path / "relabel.sg"
     grammar.write_text(RELABEL)
@@ -201,7 +225,8 @@ PROBE_WARNING = ("warning: unambiguity checked up to arity 5 only; above "
 
 
 @pytest.mark.parametrize("bound,warned", [(5, False), (7, True)])
-def test_enumerate_warns_above_the_probe_bound(tmp_path, bound, warned):
+def test_enumerate_warns_above_the_probe_bound(tmp_path, bound, warned,
+                                               run_ok):
     grammar = tmp_path / "twoparse.cfg"
     grammar.write_text(TWO_PARSES)
     system = tmp_path / "twoparse.json"
@@ -215,7 +240,7 @@ def test_enumerate_warns_above_the_probe_bound(tmp_path, bound, warned):
     assert len(lines) == (2 if warned else 1)
 
 
-def test_series_drops_rules_above_the_bound():
+def test_series_drops_rules_above_the_bound(run_ok):
     result = run_ok(["series", "--builtin", "btree", "--arities", "2,3,4",
                      "--max-arity", "3", "--kind", "sync"])
     assert result.output.splitlines() == [
@@ -238,6 +263,21 @@ def test_malformed_system_file_is_an_input_error(tmp_path, field, value):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: malformed system file: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_reader_closing_the_pipe_early_ends_quietly():
+    # 880 kB of edges: far more than a pipe holds, so the writer meets
+    # the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "budgen.cli", "graph", "--builtin", "bbu",
+         "--max-arity", "4", "--format", "text"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "1:!1:1 -> 1:a(*):2 [1]\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 def test_entry_point_enumerate_matches_runner():
@@ -282,8 +322,96 @@ def test_series_too_deep_to_print_is_an_input_error(tmp_path):
 
 
 def test_cli_import_does_not_load_sympy():
-    code = "import sys, budgen.cli; print('sympy' in sys.modules)"
+    # budgen.cli loads no third-party package (sympy included): every
+    # module it adds to those of a bare interpreter is in the standard
+    # library or in budgen.  The tracer wraps the seven budgen modules
+    # right after `import budgen.cli`, so all of them must be loaded.
+    code = ("import json, sys; before = set(sys.modules); import budgen.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded = set(json.loads(proc.stdout))
+    assert "sympy" not in loaded
+    foreign = ({m.split(".")[0] for m in loaded} - {"budgen"}
+               - set(sys.stdlib_module_names))
+    assert not foreign
+    assert {"budgen." + m for m in ["core", "operads", "series", "systems",
+                                    "typecount", "grammars", "cli"]} <= loaded
+
+
+HELP_PAGES = ["main", "enumerate", "series", "colt", "graph", "check",
+              "compile"]
+
+
+@pytest.mark.parametrize("page", HELP_PAGES)
+def test_help_pages_are_frozen(page):
+    # tests/data/help holds the pages as they were before the parser was
+    # written, byte for byte
+    args = ["--help"] if page == "main" else [page, "--help"]
+    proc = run_main(args)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == (DATA / "help" / (page + ".txt")).read_text()
+
+
+@pytest.mark.parametrize("args,message", [
+    ([], "error: Usage: budgen [OPTIONS] COMMAND [ARGS]...\n"),
+    (["nosuch"], "error: No such command 'nosuch'.\n"),
+    (["seris"], "error: No such command 'seris'. Did you mean 'series'?\n"),
+    (["series", "--nosuch"], "error: No such option '--nosuch'.\n"),
+    (["series", "--builtin", "bs", "--max-arity"],
+     "error: Option '--max-arity' requires an argument.\n"),
+    (["series", "--builtin", "bs", "--max-arity", "x"],
+     "error: Invalid value for '--max-arity': 'x' is not a valid integer.\n"),
+    (["enumerate", "--builtin", "bs", "--format", "foo"],
+     "error: Invalid value for '--format': 'foo' is not one of 'text', "
+     "'csv', 'bfile'.\n"),
+    (["enumerate", "--builtin", "bs", "--sync=1"],
+     "error: Option '--sync' does not take a value.\n"),
+    (["compile"], "error: Missing argument 'GRAMMAR_FILE'.\n"),
+    (["compile", str(DATA / "nosuch.cfg")],
+     "error: Invalid value for 'GRAMMAR_FILE': File '%s' does not exist.\n"
+     % (DATA / "nosuch.cfg")),
+    (["compile", str(DATA)],
+     "error: Invalid value for 'GRAMMAR_FILE': File '%s' is a directory.\n"
+     % DATA),
+    (["compile", str(DATA / "dyck.cfg"), str(DATA / "anbn.cfg")],
+     "error: Got unexpected extra argument (%s)\n" % (DATA / "anbn.cfg")),
+], ids=["no-args", "unknown-command", "near-command", "unknown-option",
+        "missing-value", "bad-integer", "bad-choice", "flag-with-value",
+        "compile-no-file", "compile-missing-file", "compile-directory",
+        "compile-two-files"])
+def test_usage_errors_exit_1(invoke, args, message):
+    result = invoke(args)
+    assert result.exit_code == 1
+    assert result.stderr.startswith(message)
+    assert result.output == ""
+    assert "Traceback" not in result.stderr
+
+
+def test_option_value_may_follow_an_equals_sign(run_ok):
+    spaced = run_ok(["series", "--builtin", "bs", "--max-arity", "3"])
+    joined = run_ok(["series", "--builtin=bs", "--max-arity=3"])
+    assert joined.output == spaced.output
+    assert spaced.output.count("\n") == 4
+    # options may come in any order
+    reordered = run_ok(["series", "--max-arity", "3", "--builtin", "bs"])
+    assert reordered.output == spaced.output
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--builtin", "bs", "--gamma", "3"],
+     "error: --gamma applies to the bdias preset only\n"),
+    (["--builtin", "bdias", "--gamma", "1", "--arities", "2"],
+     "error: --arities applies to the btree preset only\n"),
+    (["--system", str(DATA / "nosuch.json"), "--gamma", "1"],
+     "error: --gamma applies to a --builtin preset only\n"),
+    (["--system", str(DATA / "nosuch.json"), "--arities", "2,3"],
+     "error: --arities applies to a --builtin preset only\n"),
+], ids=["gamma-bs", "arities-bdias", "gamma-system", "arities-system"])
+def test_unread_preset_parameters_are_input_errors(invoke, args, message):
+    result = invoke(["series", "--max-arity", "3"] + args)
+    assert result.exit_code == 1
+    assert result.stderr == message
+    assert result.output == ""

@@ -40,6 +40,20 @@ def test_builtin_aliases():
         builtin("btree")  # missing arities
 
 
+@pytest.mark.parametrize("name,kwargs,message", [
+    ("bs", {"gamma": 3}, "--gamma applies to the bdias preset only"),
+    ("bperfect", {"gamma": 3}, "--gamma applies to the bdias preset only"),
+    ("bp", {"arities": [2]}, "--arities applies to the btree preset only"),
+    ("bdias", {"gamma": 1, "arities": []},
+     "--arities applies to the btree preset only"),
+    ("nosuch", {"gamma": 1}, "unknown preset 'nosuch'"),
+])
+def test_builtin_rejects_parameters_it_does_not_read(name, kwargs, message):
+    with pytest.raises(BudgenError) as info:
+        builtin(name, **kwargs)
+    assert str(info.value) == message
+
+
 def test_system_validation():
     ground = MagOperad()
     c = ground.corolla()
