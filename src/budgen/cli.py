@@ -49,7 +49,8 @@ SYSTEM_OPTIONS = [
     ("--gamma", Opt(int, None, "parameter of the bdias preset")),
     ("--builtin", Opt(str, None, "use a named preset system", "NAME")),
     ("--system", Opt(str, None, "load a system from a JSON file", "FILE")),
-    ("--max-arity", Opt(int, 8, show_default=True)),
+    ("--max-arity", Opt(int, 8, "truncate all results at this arity",
+                        show_default=True)),
 ]
 KIND = ("--kind", Opt(("hook", "synt", "sync"), "synt", show_default=True))
 
@@ -183,7 +184,7 @@ def cmd_compile(args):
 COMMANDS = {
     "enumerate": (cmd_enumerate, SYSTEM_OPTIONS + [
         ("--sync", Opt(bool, False, "count the synchronous language")),
-        ("--format", Opt(("text", "csv", "bfile"), "text"))], None),
+        ("--format", Opt(("text", "csv"), "text"))], None),
     "series": (cmd_series, SYSTEM_OPTIONS + [KIND], None),
     "colt": (cmd_colt, SYSTEM_OPTIONS + [
         KIND, ("--format", Opt(("text", "csv"), "csv", show_default=True))],

@@ -495,8 +495,6 @@ class FreeOperad(Operad):
         if t[0] == UNIT_TAG:
             if t[1] not in self.colors:
                 raise BudgenError("unknown color %r" % t[1])
-            if expected_out is not None and t[1] != expected_out:
-                raise BudgenError("color mismatch at unit leaf")
             return
         name = t[0]
         if name not in self.spec.gens:
@@ -509,6 +507,10 @@ class FreeOperad(Operad):
         for color, child in zip(self.spec.ins(name), t[1:]):
             if child == LEAF:
                 continue
+            if child[0] == UNIT_TAG:
+                # g(!1,*) is g(*,*): a unit is an element only on its own
+                raise BudgenError("unit %s below the root of %s"
+                                  % (dumps_term(child), dumps_term(t)))
             self.validate(child, color)
 
     def elements(self, n: int):

@@ -32,6 +32,11 @@ from .operads import (
 from . import series as S
 
 
+# the most vertices derivation_graph builds: bbu at arity 5 has 57,909,
+# and the graph grows about 16x per arity there
+GRAPH_VERTEX_BUDGET = 100_000
+
+
 class BudSystem:
     """A bud generating system over a monochrome ground operad."""
 
@@ -146,7 +151,8 @@ class BudSystem:
         """BFS closure from the initial units, restricted to arity <= bound:
         each vertex x is expanded once, into the terms of x <- r (or of
         x (.) r).  An arity-1 rule on a color cycle makes the closure
-        infinite."""
+        infinite; a graph above GRAPH_VERTEX_BUDGET vertices raises
+        BudgenError."""
         if not self.ff_check()[0]:
             raise DivergenceError(
                 "derivation graph diverges: arity-1 rules admit a color cycle")
@@ -161,6 +167,10 @@ class BudSystem:
                 for y, mult in self._steps(product, x, rules).items():
                     edges[(x, y)] = mult
                     if y not in vertices:
+                        if len(vertices) == GRAPH_VERTEX_BUDGET:
+                            raise BudgenError(
+                                "derivation graph exceeds %d vertices at "
+                                "arity bound %d" % (GRAPH_VERTEX_BUDGET, bound))
                         vertices.add(y)
                         nxt.append(y)
             frontier = nxt

@@ -16,12 +16,15 @@ solved in the box of its type (componentwise), since a tree's type bounds
 its subtrees' types.  The syntactic system is solved degree slice by
 degree slice: the rules of arity >= 2 over the finished slices, then
 arity-1 increments.  The synchronous one sums its layers from the leaves,
-y, g(y), g(g(y)), .., until the whole vector is empty.
+y, g(y), g(g(y)), .., until the whole vector is empty.  The solved
+systems are returned as IntPoly values, which need no sympy; as_sympy()
+gives the sympy expression.
 """
 
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 from .core import BudgenError, DivergenceError, type_of
 from .operads import degree_bound
@@ -50,8 +53,66 @@ def chi_table(system: BudSystem) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# truncated integer polynomials: dicts from exponent tuples to ints, turned
-# into sympy expressions (and sympy imported) only on return
+# truncated integer polynomials: dicts from exponent tuples to ints while
+# solving, returned as IntPoly
+
+
+class IntPoly:
+    """An exact polynomial with integer coefficients: a frozen map from
+    exponent tuples over `variables` (names such as y_1 or q_2) to
+    nonzero ints.  It equals another IntPoly with the same variables and
+    terms, and an int when it is that constant."""
+
+    __slots__ = ("variables", "terms")
+
+    def __init__(self, variables, terms: dict):
+        self.variables = tuple(variables)
+        self.terms = MappingProxyType({m: c for m, c in terms.items() if c})
+
+    def coeff(self, monomial) -> int:
+        return self.terms.get(tuple(monomial), 0)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            constant = {(0,) * len(self.variables): other} if other else {}
+            return self.terms == constant
+        if isinstance(other, IntPoly):
+            return (self.variables == other.variables
+                    and self.terms == other.terms)
+        return NotImplemented
+
+    def __str__(self) -> str:
+        """Terms by descending degree, e.g. `y_1**2 + 2*y_1*y_2`; a
+        constant prints as its integer."""
+        parts = []
+        for m, c in sorted(self.terms.items(), reverse=True,
+                           key=lambda t: (sum(t[0]), t[0])):
+            factors = [v if e == 1 else "%s**%d" % (v, e)
+                       for v, e in zip(self.variables, m) if e]
+            if c != 1 or not factors:
+                factors.insert(0, str(c))
+            parts.append("*".join(factors))
+        return " + ".join(parts) or "0"
+
+    def as_sympy(self):
+        """The sympy expression of this polynomial; the one place that
+        imports sympy."""
+        import sympy as sp
+        syms = [sp.Symbol(v) for v in self.variables]
+        return sp.Add(*[sp.Mul(sp.Integer(c),
+                               *[s ** e for s, e in zip(syms, m) if e])
+                        for m, c in self.terms.items()])
+
+    # sympy's protocol: sympify (and so sp.Poly, sp.expand and comparisons
+    # with sympy expressions) calls _sympy_, and a caller that passes
+    # symbols to sp.Poly reads free_symbols first, as the counting checks
+    # of perfbench/checks.py do
+    def _sympy_(self):
+        return self.as_sympy()
+
+    @property
+    def free_symbols(self) -> set:
+        return self.as_sympy().free_symbols
 
 
 def _mul(p: dict, q: dict, bound: int, box=None) -> dict:
@@ -307,27 +368,13 @@ def sync_counting_series(system: BudSystem, bound: int):
 
 
 # ---------------------------------------------------------------------------
-# functional systems as sympy expressions
-
-
-def _as_sympy(poly: dict, syms):
-    """The sympy expression of an integer polynomial in the symbols syms."""
-    import sympy as sp
-    return sp.Add(*[sp.Mul(sp.Integer(c),
-                           *[s ** e for s, e in zip(syms, m) if e])
-                    for m, c in poly.items()])
-
-
-def y_symbols(system: BudSystem) -> dict:
-    import sympy as sp
-    return {c: sp.Symbol("y_%s" % c) for c in system.colors}
+# functional systems as IntPoly values in the y_c
 
 
 def _in_y(system: BudSystem, polys: dict) -> dict:
-    """{color: polynomial} as {color: sympy expression in the y_c}."""
-    ys = y_symbols(system)
-    syms = [ys[c] for c in system.colors]
-    return {c: _as_sympy(polys[c], syms) for c in system.colors}
+    """{color: integer polynomial} as {color: IntPoly in the y_c}."""
+    ys = ["y_%s" % c for c in system.colors]
+    return {c: IntPoly(ys, polys[c]) for c in system.colors}
 
 
 def g_poly(system: BudSystem) -> dict:
@@ -375,8 +422,7 @@ def refined_perfect(bound: int) -> dict:
     """Perfect-tree polynomials s_n in q_2..q_n: the coefficient of a
     monomial prod q_b^(d_b) counts perfect trees with n leaves built by
     repeatedly substituting, at every leaf at once, corollas whose last
-    layer uses d_b corollas of arity b.  Returns {n: polynomial}."""
-    import sympy as sp
+    layer uses d_b corollas of arity b.  Returns {n: IntPoly}."""
 
     def layers(n: int, b: int):
         # (d_b, .., d_bound) with sum of b' * d_b' = n
@@ -397,8 +443,8 @@ def refined_perfect(bound: int) -> dict:
                 key = tuple(a + b for a, b in zip(layer, m))
                 total[key] = total.get(key, 0) + weight * c
         s[n] = total
-    q = [sp.Symbol("q_%d" % b) for b in range(2, bound + 1)]
-    return {n: _as_sympy(poly, q) for n, poly in s.items()}
+    q = ["q_%d" % b for b in range(2, bound + 1)]
+    return {n: IntPoly(q, poly) for n, poly in s.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 import pytest
 
+from budgen import systems
 from budgen.cli import main
 from budgen.systems import system_loads
 
@@ -189,6 +190,18 @@ def test_graph_on_a_color_cycle_exits_2(sync):
     assert proc.stdout == ""
 
 
+def test_graph_above_the_vertex_budget_is_an_input_error(invoke,
+                                                         monkeypatch):
+    # bbu's graph grows about 16x per arity: at the default bound it would
+    # need hundreds of millions of vertices
+    monkeypatch.setattr(systems, "GRAPH_VERTEX_BUDGET", 1000)
+    result = invoke(["graph", "--builtin", "bbu"])
+    assert result.exit_code == 1
+    assert result.stderr == ("error: derivation graph exceeds 1000 vertices "
+                             "at arity bound 8\n")
+    assert result.output == ""
+
+
 RELABEL = """start: 1
 terminal: 2
 1 -> n2(1,2)
@@ -265,6 +278,21 @@ def test_malformed_system_file_is_an_input_error(tmp_path, field, value):
     assert "Traceback" not in proc.stderr
 
 
+def test_unit_below_the_root_is_an_input_error(tmp_path, invoke):
+    # in the free operad g(!1,*) is g(*,*), so the term is refused on load
+    gens = [{"name": "g", "arity": 2}]
+    data = {"ground": {"kind": "free", "params": {"generators": gens}},
+            "colors": ["1"],
+            "rules": [{"out": "1", "elem": "g(!1,*)", "ins": ["1", "1"]}],
+            "initial": ["1"], "terminal": ["1"]}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    result = invoke(["series", "--system", str(path), "--max-arity", "3"])
+    assert result.exit_code == 1
+    assert result.stderr == "error: unit !1 below the root of g(!1,*)\n"
+    assert result.output == ""
+
+
 def test_reader_closing_the_pipe_early_ends_quietly():
     # 880 kB of edges: far more than a pipe holds, so the writer meets
     # the closed pipe
@@ -322,22 +350,31 @@ def test_series_too_deep_to_print_is_an_input_error(tmp_path):
 
 
 def test_cli_import_does_not_load_sympy():
-    # budgen.cli loads no third-party package (sympy included): every
-    # module it adds to those of a bare interpreter is in the standard
-    # library or in budgen.  The tracer wraps the seven budgen modules
-    # right after `import budgen.cli`, so all of them must be loaded.
-    code = ("import json, sys; before = set(sys.modules); import budgen.cli; "
-            "print(json.dumps(sorted(set(sys.modules) - before)))")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    assert "sympy" not in loaded
-    foreign = ({m.split(".")[0] for m in loaded} - {"budgen"}
-               - set(sys.stdlib_module_names))
-    assert not foreign
+    # budgen.cli, and the typecount functions that return polynomials,
+    # load no third-party package (sympy included): every module they
+    # add to those of a bare interpreter is in the standard library or in
+    # budgen.  The tracer wraps the seven budgen modules right after
+    # `import budgen.cli`, so all of them must be loaded.
+    calls = ("import budgen; s = budgen.builtin('bbt'); budgen.g_poly(s); "
+             "budgen.solve_synt_system(s, 4); budgen.solve_sync_system(s, 4); "
+             "budgen.sync_iterates(s, 2, 4); budgen.refined_perfect(5); "
+             "budgen.lang_counting_series(budgen.builtin('bs'), 6)")
+    loaded = {}
+    for statement in ["import budgen.cli", calls]:
+        code = ("import json, sys; before = set(sys.modules); %s; "
+                "print(json.dumps(sorted(set(sys.modules) - before)))"
+                % statement)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded[statement] = set(json.loads(proc.stdout))
+        assert "sympy" not in loaded[statement]
+        foreign = ({m.split(".")[0] for m in loaded[statement]} - {"budgen"}
+                   - set(sys.stdlib_module_names))
+        assert not foreign, statement
     assert {"budgen." + m for m in ["core", "operads", "series", "systems",
-                                    "typecount", "grammars", "cli"]} <= loaded
+                                    "typecount", "grammars", "cli"]
+            } <= loaded["import budgen.cli"]
 
 
 HELP_PAGES = ["main", "enumerate", "series", "colt", "graph", "check",
@@ -346,8 +383,7 @@ HELP_PAGES = ["main", "enumerate", "series", "colt", "graph", "check",
 
 @pytest.mark.parametrize("page", HELP_PAGES)
 def test_help_pages_are_frozen(page):
-    # tests/data/help holds the pages as they were before the parser was
-    # written, byte for byte
+    # tests/data/help holds the pages byte for byte
     args = ["--help"] if page == "main" else [page, "--help"]
     proc = run_main(args)
     assert proc.returncode == 0
@@ -366,7 +402,7 @@ def test_help_pages_are_frozen(page):
      "error: Invalid value for '--max-arity': 'x' is not a valid integer.\n"),
     (["enumerate", "--builtin", "bs", "--format", "foo"],
      "error: Invalid value for '--format': 'foo' is not one of 'text', "
-     "'csv', 'bfile'.\n"),
+     "'csv'.\n"),
     (["enumerate", "--builtin", "bs", "--sync=1"],
      "error: Option '--sync' does not take a value.\n"),
     (["compile"], "error: Missing argument 'GRAMMAR_FILE'.\n"),
