@@ -46,6 +46,7 @@ class Operad:
     """
 
     colors: tuple[str, ...] = (MONO,)
+    _keys: dict | None = None  # the memo of `key`, made on first use
 
     def arity(self, x) -> int:
         raise NotImplementedError
@@ -100,8 +101,17 @@ class Operad:
         raise NotImplementedError
 
     def key(self, x) -> tuple[int, str]:
-        """Sort key: (arity, canonical serialization)."""
-        return (self.arity(x), self.dumps(x))
+        """Sort key: (arity, canonical serialization), memoized per
+        instance (for every element it is asked about), so that elements
+        shared by several series or graphs over this operad are
+        serialized once."""
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = {}
+        k = keys.get(x)
+        if k is None:
+            k = keys[x] = (self.arity(x), self.dumps(x))
+        return k
 
     def elements(self, n: int) -> Iterable:
         """Per-arity enumeration; only locally finite operads provide it."""

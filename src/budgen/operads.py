@@ -160,16 +160,25 @@ class MagOperad(Operad):
 # pluriassociative operads: words with exactly one 0
 
 
+# pivot letter p -> the translate table raising each digit below p to p
+_DIAS_RAISE = {str(p): str.maketrans({str(a): str(p) for a in range(p)})
+               for p in range(10)}
+
+
 class DiasOperad(Operad):
-    """Words over {0} u [gamma] with exactly one 0.
+    """Words over {0} u [gamma] with exactly one 0, one digit per letter
+    (so gamma <= 9).
 
     u o_i v replaces the i-th letter of u by v', where v' replaces every
-    letter a of v by max(a, u_i).
+    letter a of v by max(a, u_i); `_compose` raises the letters with the
+    `str.translate` table of the pivot letter u_i.
     """
 
     def __init__(self, gamma: int):
         if gamma < 0:
             raise BudgenError("gamma must be >= 0")
+        if gamma > 9:
+            raise BudgenError("gamma must be <= 9")
         self.gamma = gamma
 
     def arity(self, x: str) -> int:
@@ -181,9 +190,7 @@ class DiasOperad(Operad):
         return "0"
 
     def _compose(self, x: str, i: int, y: str) -> str:
-        pivot = int(x[i - 1])
-        spliced = "".join(str(max(int(a), pivot)) for a in y)
-        return x[:i - 1] + spliced + x[i:]
+        return x[:i - 1] + y.translate(_DIAS_RAISE[x[i - 1]]) + x[i:]
 
     def dumps(self, x: str) -> str:
         return x
@@ -193,8 +200,6 @@ class DiasOperad(Operad):
         return text
 
     def validate(self, word: str) -> None:
-        if self.gamma > 9:
-            raise BudgenError("text format supports gamma <= 9")
         if word.count("0") != 1:
             raise BudgenError("word must contain exactly one 0: %r" % word)
         for ch in word:

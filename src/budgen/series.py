@@ -14,15 +14,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 
 from .core import BudgenError, BudOperad, DivergenceError, Operad, type_of
 from .operads import AsOperad, degree_bound, finitely_factorizing_check
 
+_first = itemgetter(0)
+
 
 class Series:
-    """Sparse finite map from operad elements of arity <= bound to scalars."""
+    """Sparse finite map from operad elements of arity <= bound to scalars.
 
-    __slots__ = ("operad", "bound", "coeffs")
+    The constructor drops zero coefficients and rejects a term above the
+    bound.  The engine builds its results through `Series._unchecked`,
+    which only drops zeros: every term it makes is within the bound.  A
+    series is not changed once made; the products keep the pools of
+    their right operand on it.
+    """
+
+    __slots__ = ("operad", "bound", "coeffs", "_pooled")
 
     def __init__(self, operad: Operad, bound: int, coeffs=None):
         if bound < 1:
@@ -37,6 +47,18 @@ class Series:
                 raise BudgenError("support element exceeds the arity bound")
             cleaned[x] = c
         self.coeffs = cleaned
+        self._pooled = None
+
+    @classmethod
+    def _unchecked(cls, operad: Operad, bound: int, coeffs: dict) -> Series:
+        """A series of terms the engine built within the bound; zero
+        coefficients are dropped, since signed inputs can cancel."""
+        f = cls.__new__(cls)
+        f.operad = operad
+        f.bound = bound
+        f.coeffs = {x: c for x, c in coeffs.items() if c != 0}
+        f._pooled = None
+        return f
 
     def coeff(self, x):
         return self.coeffs.get(x, 0)
@@ -59,10 +81,10 @@ class Series:
 
     def dumps(self) -> str:
         """Sorted `coeff * element` lines, ordered by (arity, serialization)."""
-        op = self.operad
-        rows = sorted(((op.arity(x), op.dumps(x), c)
-                       for x, c in self.coeffs.items()), key=lambda row: row[:2])
-        return "\n".join("%s * %s" % (c, text) for _, text, c in rows)
+        key = self.operad.key
+        rows = sorted(((key(x), c) for x, c in self.coeffs.items()),
+                      key=_first)
+        return "\n".join("%s * %s" % (c, k[1]) for k, c in rows)
 
 
 def characteristic(operad: Operad, elements, bound: int) -> Series:
@@ -80,7 +102,7 @@ def add(f: Series, g: Series) -> Series:
     coeffs = dict(f.coeffs)
     for x, c in g.coeffs.items():
         coeffs[x] = coeffs.get(x, 0) + c
-    return Series(f.operad, f.bound, coeffs)
+    return Series._unchecked(f.operad, f.bound, coeffs)
 
 
 def sub(f: Series, g: Series) -> Series:
@@ -88,7 +110,8 @@ def sub(f: Series, g: Series) -> Series:
 
 
 def scale(scalar, f: Series) -> Series:
-    return Series(f.operad, f.bound, {x: scalar * c for x, c in f.coeffs.items()})
+    return Series._unchecked(f.operad, f.bound,
+                             {x: scalar * c for x, c in f.coeffs.items()})
 
 
 def scalar_product(f: Series, g: Series):
@@ -111,41 +134,55 @@ def pre_lie(f: Series, g: Series) -> Series:
     """One-position composition product: sums coeff(y)*coeff(z) onto y o_i z."""
     _check_compat(f, g)
     op = f.operad
-    g_items = [(z, cz, op.arity(z), op.out(z)) for z, cz in g.coeffs.items()]
+    pools = _pools_of(g)
     coeffs: dict = {}
     for y, cy in f.coeffs.items():
-        ny = op.arity(y)
-        ins_y = op.ins(y)
-        for z, cz, nz, out_z in g_items:
-            if ny + nz - 1 > f.bound:
+        room = f.bound + 1 - op.arity(y)  # the largest arity of z
+        for i, c in enumerate(op.ins(y), 1):
+            pool = pools.get(c)
+            if pool is None:
                 continue
-            w = cy * cz
-            for i in range(1, ny + 1):
-                if ins_y[i - 1] != out_z:
-                    continue
+            for nz, z, cz in pool[0]:
+                if nz > room:
+                    break
                 x = op._compose(y, i, z)
-                coeffs[x] = coeffs.get(x, 0) + w
-    return Series(op, f.bound, coeffs)
+                coeffs[x] = coeffs.get(x, 0) + cy * cz
+    return Series._unchecked(op, f.bound, coeffs)
 
 
 def compose_prod(f: Series, g: Series) -> Series:
     """All-positions composition product: substitutes one g-term per input."""
     _check_compat(f, g)
     op = f.operad
-    pools = _pools(op, g.coeffs.items())
+    pools = _pools_of(g)
     coeffs: dict = {}
     for y, cy in f.coeffs.items():
         _substitute(op, y, cy, pools, 1, f.bound, coeffs)
-    return Series(op, f.bound, coeffs)
+    return Series._unchecked(op, f.bound, coeffs)
 
 
-def _pools(op: Operad, items, nodes: int = 0, pools=None) -> dict:
-    """pools[out color][nodes] += items as (arity, elem, coeff), by arity."""
+def _pools(op: Operad, items, nodes: int = 0, pools=None,
+           arity: int | None = None) -> dict:
+    """pools[out color][nodes] += items as (arity, elem, coeff), by arity.
+    `arity` is the arity of every item, when the caller knows it: the
+    items then keep their order, and a pool stays sorted if its earlier
+    items have smaller arities."""
     pools = {} if pools is None else pools
-    for z, cz in sorted(items, key=lambda item: op.arity(item[0])):
-        pools.setdefault(op.out(z), {}).setdefault(nodes, []).append(
-            (op.arity(z), z, cz))
+    if arity is None:
+        rows = sorted(((op.arity(z), z, cz) for z, cz in items), key=_first)
+    else:
+        rows = [(arity, z, cz) for z, cz in items]
+    for row in rows:
+        pools.setdefault(op.out(row[1]), {}).setdefault(nodes, []).append(row)
     return pools
+
+
+def _pools_of(g: Series) -> dict:
+    """The pools of g's terms (see `_pools`), built once per series, so
+    that the products of many series with one g share them."""
+    if g._pooled is None:
+        g._pooled = _pools(g.operad, g.coeffs.items())
+    return g._pooled
 
 
 def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
@@ -217,7 +254,7 @@ def pre_lie_star(f: Series, inputs=None) -> Series:
         level = {x: c for x, c in level.items() if c != 0}
     if level:
         raise DivergenceError("pre-Lie star did not stop at %d nodes" % top)
-    return Series(op, f.bound, coeffs)
+    return Series._unchecked(op, f.bound, coeffs)
 
 
 def compose_star(f: Series, inputs=None) -> Series:
@@ -283,8 +320,8 @@ def compose_inverse(f: Series, inputs=None) -> Series:
     if not ok:
         raise DivergenceError("composition inverse diverges: color cycle")
     current = _graded_tree_sum(op, weights, f.bound, chain, inputs)
-    return Series(op, f.bound, {x: _divide(c, unit_coeff[op.out(x)])
-                                for x, c in current.coeffs.items()})
+    return Series._unchecked(op, f.bound, {x: _divide(c, unit_coeff[op.out(x)])
+                                           for x, c in current.items()})
 
 
 def _divide(c, d):
@@ -298,9 +335,9 @@ def _divide(c, d):
 
 
 def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
-                     inputs=None) -> Series:
-    """Solve V = u + W (.) V, composed on the right with the units of
-    `inputs`, arity slice by arity slice.  Slice n starts from those
+                     inputs=None) -> dict:
+    """The coefficients of the solution of V = u + W (.) V, composed on
+    the right with the units of `inputs`, arity slice by arity slice.  Slice n starts from those
     units (n = 1) and the roots of arity >= 2 over the finished
     slices; the terms with an arity-1 root are then added by increments,
     which the finitely-factorizing chain bound makes vanish within
@@ -319,7 +356,7 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
                 break
             for x, c in delta.items():
                 terms[x] = terms.get(x, 0) + c
-            delta_pools = _pools(op, delta.items())
+            delta_pools = _pools(op, delta.items(), arity=n)
             delta = {}
             for y, cy in w1:
                 _substitute(op, y, cy, delta_pools, n, n, delta)
@@ -327,8 +364,8 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
             raise DivergenceError("composition inverse did not stabilize")
         terms = {x: c for x, c in terms.items() if c != 0}
         v_coeffs.update(terms)
-        _pools(op, terms.items(), 0, pools)
-    return Series(op, bound, v_coeffs)
+        _pools(op, terms.items(), 0, pools, n)
+    return v_coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ class BudSystem:
         whose input colors are all terminal."""
         initial = set(self.initial)
         terminal = set(self.terminal)
-        return S.Series(self.bud, bound, {
+        return S.Series._unchecked(self.bud, bound, {
             x: c for x, c in middle.coeffs.items()
             if x[0] in initial and terminal.issuperset(x[2])})
 
@@ -144,7 +144,7 @@ class BudSystem:
         """The terms of product(x, rules); none when x is above their bound."""
         if self.bud.arity(x) > rules.bound:
             return {}
-        return product(S.characteristic(self.bud, [x], rules.bound),
+        return product(S.Series._unchecked(self.bud, rules.bound, {x: 1}),
                        rules).coeffs
 
     def derivation_graph(self, bound: int, synchronous: bool = False):

@@ -94,6 +94,22 @@ def test_graph_dot_output(run_ok):
     assert '"1:H:2,2" ->' not in result.output
 
 
+# stdout held byte for byte under tests/data/stdout: the order of
+# `Series.dumps` and of the DOT text, and Dias grafting
+FROZEN_STDOUT = {
+    "series-bdias2-%s.txt" % kind: ["series", "--builtin", "bdias", "--gamma",
+                                    "2", "--max-arity", "5", "--kind", kind]
+    for kind in ("hook", "synt", "sync")}
+FROZEN_STDOUT["graph-bbt-sync.dot"] = ["graph", "--builtin", "bbt", "--sync",
+                                       "--max-arity", "5", "--format", "dot"]
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_STDOUT))
+def test_stdout_is_frozen(run_ok, name):
+    expected = (DATA / "stdout" / name).read_text()
+    assert run_ok(FROZEN_STDOUT[name]).output == expected
+
+
 def test_graph_text_output(run_ok):
     result = run_ok(["graph", "--builtin", "bdias", "--gamma", "1",
                      "--max-arity", "2", "--format", "text"])
@@ -414,10 +430,12 @@ def test_help_pages_are_frozen(page):
      % DATA),
     (["compile", str(DATA / "dyck.cfg"), str(DATA / "anbn.cfg")],
      "error: Got unexpected extra argument (%s)\n" % (DATA / "anbn.cfg")),
+    (["series", "--builtin", "bdias", "--gamma", "10"],
+     "error: gamma must be <= 9\n"),
 ], ids=["no-args", "unknown-command", "near-command", "unknown-option",
         "missing-value", "bad-integer", "bad-choice", "flag-with-value",
         "compile-no-file", "compile-missing-file", "compile-directory",
-        "compile-two-files"])
+        "compile-two-files", "gamma-above-9"])
 def test_usage_errors_exit_1(invoke, args, message):
     result = invoke(args)
     assert result.exit_code == 1

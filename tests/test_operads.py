@@ -71,6 +71,26 @@ def test_dias_max_rule():
     assert op.compose("20", 1, "01") == "220"
 
 
+@pytest.mark.parametrize("gamma", [0, 1, 2, 3])
+def test_dias_compose_is_the_max_rule(gamma):
+    # the paper's rule, letter by letter: u o_i v puts v at the i-th
+    # letter of u, with each letter a of v raised to max(a, u_i)
+    op = DiasOperad(gamma)
+    words = [w for n in range(1, 5) for w in op.elements(n)]
+    for u in words:
+        for i in range(1, len(u) + 1):
+            pivot = int(u[i - 1])
+            for v in words:
+                raised = "".join(str(max(int(a), pivot)) for a in v)
+                assert op._compose(u, i, v) == u[:i - 1] + raised + u[i:]
+
+
+def test_dias_gamma_is_one_digit():
+    assert DiasOperad(9).compose("90", 1, "09") == "990"
+    with pytest.raises(BudgenError, match="gamma must be <= 9"):
+        DiasOperad(10)
+
+
 def test_dias_validation_and_counts():
     op = DiasOperad(2)
     with pytest.raises(BudgenError):

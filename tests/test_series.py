@@ -12,7 +12,7 @@ from budgen.operads import (
     hook_count,
     st_is_perfect,
 )
-from budgen.systems import builtin
+from budgen.systems import BUILTIN_NAMES, builtin
 
 AS = AsOperad()
 MAG = MagOperad()
@@ -190,6 +190,30 @@ def test_stars_with_other_coefficients_equal_their_power_sums(name):
         g = S.sub(units, f)
         assert S.compose_inverse(g, inputs=system.terminal) == \
             S.compose_prod(S.compose_inverse(g), t), (name, scalar)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_engine_series_are_well_formed(name):
+    # the engine builds its results without the constructor's checks;
+    # the checked constructor must give back the same series
+    system = builtin(name, **{"bdias": {"gamma": 2},
+                              "btree": {"arities": [2, 3]}}.get(name, {}))
+    op, bound = system.bud, 4
+    r = system.rule_series(bound)
+    units = S.units_series(op, bound)
+    for f in (system.hook_series(bound), system.synt_series(bound),
+              system.sync_series(bound), S.pre_lie_star(r),
+              S.compose_star(r), S.compose_inverse(S.sub(units, r)),
+              S.pre_lie(S.scale(-1, r), r), S.compose_prod(r, S.add(units, r))):
+        assert S.Series(op, bound, f.coeffs) == f
+        assert 0 not in f.coeffs.values()
+        for x in f.coeffs:
+            assert op.key(x) == (op.arity(x), op.dumps(x))
+    assert not S.sub(r, r).coeffs  # cancelled terms are dropped
+    above = system.hook_series(bound + 1).support_slice(bound + 1)
+    assert above
+    with pytest.raises(BudgenError, match="exceeds the arity bound"):
+        S.Series(op, bound, {min(above, key=op.key): 1})
 
 
 def test_pre_lie_star_passes_an_empty_node_level():
