@@ -37,12 +37,14 @@ class NotGeneratedError(BudgenError):
 class Operad:
     """Behavioral contract shared by every concrete operad.
 
-    Subclasses define arity, output/input colors, units, partial
-    composition, and a canonical serialization.  Elements are plain
-    hashable Python values.  A subclass implements the unchecked
-    `_compose`; the public `compose` and `full_compose` check positions
-    and colors before calling it, and the engine calls it directly where
-    it has matched colors already.
+    Subclasses define arity, output/input colors, partial composition,
+    and the unit `UNIT` of their one color (a colored subclass defines
+    `unit` instead).  Elements are plain hashable Python values.  Unless
+    a subclass defines its own, `dumps` is `str`, and `loads` returns
+    the text once the subclass's `validate` accepts it.  A subclass
+    implements the unchecked `_compose`; the public `compose` and
+    `full_compose` check positions and colors before calling it, and the
+    engine calls it directly where it has matched colors already.
     """
 
     colors: tuple[str, ...] = (MONO,)
@@ -61,7 +63,9 @@ class Operad:
         return self.ins(x)[i - 1]
 
     def unit(self, c: str):
-        raise NotImplementedError
+        if c not in self.colors:
+            raise BudgenError("unknown color %r" % c)
+        return self.UNIT
 
     def compose(self, x, i: int, y):
         """Partial composition x o_i y (1-based position)."""
@@ -95,10 +99,11 @@ class Operad:
         return result
 
     def dumps(self, x) -> str:
-        raise NotImplementedError
+        return str(x)
 
     def loads(self, text: str):
-        raise NotImplementedError
+        self.validate(text)
+        return text
 
     def key(self, x) -> tuple[int, str]:
         """Sort key: (arity, canonical serialization), memoized per
@@ -136,19 +141,13 @@ class Operad:
 class AsOperad(Operad):
     """The associative operad: one element per arity, composition adds arities."""
 
+    UNIT = 1
+
     def arity(self, x: int) -> int:
         return x
 
-    def unit(self, c: str) -> int:
-        if c != MONO:
-            raise BudgenError("unknown color %r" % c)
-        return 1
-
     def _compose(self, x: int, i: int, y: int) -> int:
         return x + y - 1
-
-    def dumps(self, x: int) -> str:
-        return str(x)
 
     def loads(self, text: str) -> int:
         n = int(text)

@@ -22,6 +22,8 @@ brute-force enumerator for cross-checking.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .core import MONO, BudgenError, validate_color_token
 from .operads import (
     LEAF,
@@ -162,13 +164,7 @@ class Rtg:
 def parse_rtg(text: str) -> Rtg:
     rules = []
     start = None
-    lhs_seen = []
-    parsed = list(_parse_lines(text))
-    for kind, payload in parsed:
-        if kind == "production":
-            lhs_seen.append(payload[0])
-    variables = set(lhs_seen)
-    for kind, payload in parsed:
+    for kind, payload in _parse_lines(text):
         if kind == "directive":
             name, value = payload
             if name != "start":
@@ -190,20 +186,20 @@ def parse_rtg(text: str) -> Rtg:
     return rtg
 
 
-def _rtg_decompose(rtg: Rtg, ground: FreeOperad, t):
-    """Split a rule tree into (ground element over positive-rank
-    terminals, word of leaf labels)."""
-    name = t[0]
-    if name in rtg.variables or rtg.ranks[name] == 0:
-        return ground.unit(MONO), (name,)
+def _split_leaves(ground: FreeOperad, t):
+    """Split a rule tree into (ground element, word of leaf labels).  A
+    leaf is a node of length 1: a variable or a constant of a regular
+    tree grammar, a color of a synchronous grammar; a bare leaf becomes
+    the unit."""
+    if len(t) == 1:
+        return ground.unit(MONO), (t[0],)
     leaves: list[str] = []
 
     def walk(node):
-        head = node[0]
-        if head in rtg.variables or rtg.ranks[head] == 0:
-            leaves.append(head)
+        if len(node) == 1:
+            leaves.append(node[0])
             return LEAF
-        return tuple([head] + [walk(c) for c in node[1:]])
+        return tuple([node[0]] + [walk(c) for c in node[1:]])
 
     return walk(t), tuple(leaves)
 
@@ -219,10 +215,7 @@ def rtg_to_bud(rtg: Rtg) -> BudSystem:
             for name, r in sorted(rtg.ranks.items()) if r > 0]
     ground = FreeOperad(CollectionSpec(gens, colors=(MONO,)))
     colors = rtg.variables + rtg.constants
-    rules = []
-    for lhs, t in rtg.rules:
-        g, ins = _rtg_decompose(rtg, ground, t)
-        rules.append((lhs, g, ins))
+    rules = [(lhs,) + _split_leaves(ground, t) for lhs, t in rtg.rules]
     return BudSystem(ground, colors, rules, (rtg.start,), rtg.constants)
 
 
@@ -245,16 +238,8 @@ def rtg_bruteforce(rtg: Rtg, max_leaves: int, max_rounds: int = 64):
         if len(t) == 1:
             yield t
             return
-        pools = [list(plug(c)) for c in t[1:]]
-
-        def combine(idx, acc):
-            if idx == len(pools):
-                yield tuple([name] + acc)
-                return
-            for piece in pools[idx]:
-                yield from combine(idx + 1, acc + [piece])
-
-        yield from combine(0, [])
+        for children in product(*(plug(c) for c in t[1:])):
+            yield (name,) + children
 
     for _ in range(max_rounds):
         changed = False
@@ -353,20 +338,7 @@ def sg_to_bud(sg: Sg, cap: int | None = None) -> BudSystem:
         raise BudgenError("arity cap %d below the largest rule node %d"
                           % (cap, max_arity))
     ground = capped_tree_operad(cap)
-    rules = []
-    for lhs, t in sg.rules:
-        if len(t) == 1:
-            rules.append((lhs, ground.unit(MONO), (t[0],)))
-            continue
-        leaves: list[str] = []
-
-        def walk(node):
-            if len(node) == 1:
-                leaves.append(node[0])
-                return LEAF
-            return tuple([node[0]] + [walk(c) for c in node[1:]])
-
-        rules.append((lhs, walk(t), tuple(leaves)))
+    rules = [(lhs,) + _split_leaves(ground, t) for lhs, t in sg.rules]
     return BudSystem(ground, sg.colors, rules, (sg.start,), sg.terminal)
 
 
@@ -398,18 +370,8 @@ def sg_bruteforce(sg: Sg, depth: int):
         if len(t) == 1:
             yield from by_color.get(t[0], [])
             return
-        pools = [list(expand(c)) for c in t[1:]]
-        if any(not p for p in pools):
-            return
-
-        def combine(idx, acc):
-            if idx == len(pools):
-                yield tuple([t[0]] + acc)
-                return
-            for piece in pools[idx]:
-                yield from combine(idx + 1, acc + [piece])
-
-        yield from combine(0, [])
+        for children in product(*(expand(c) for c in t[1:])):
+            yield (t[0],) + children
 
     for step in range(depth + 1):
         result.update(t for t in current if finished(t))

@@ -6,6 +6,10 @@ Schroeder trees and free-operad elements print as terms `name(child,..)`
 with `*` for leaves and `!c` for the unit leaf of color c; pluriassociative
 words print as digit strings; Motzkin paths print as U/H/D step strings
 (the empty string is the arity-1 path).
+
+The three tree-shaped operads (magmatic, Schroeder and free) share one
+term core, `TermOperad`: a memoized arity, one leaf walk for grafting,
+and the term serialization.
 """
 
 from __future__ import annotations
@@ -96,13 +100,22 @@ def loads_term(text: str):
 
 
 # ---------------------------------------------------------------------------
-# magmatic operad: planar binary trees under leaf grafting
+# the term core of the tree-shaped operads
 
 
-class MagOperad(Operad):
-    """Binary trees; composition grafts a tree onto the i-th leaf."""
+_UNIT_HEADS = (LEAF, UNIT_TAG)  # x[0] of a unit: the leaf, or ('!', c)
 
-    NODE = "c"
+
+class TermOperad(Operad):
+    """Terms (label, child, ..) whose leaves are LEAF, and whose units are
+    LEAF or (UNIT_TAG, c); x o_i y grafts y onto the i-th leaf of x.
+
+    Subclasses define `validate`, which `loads` runs on every parsed
+    term, and may override `_plant`, which says what a grafted term
+    becomes below its new parent.
+    """
+
+    UNIT = LEAF
 
     def __init__(self):
         # arity memo: grafting asks for the arity of a subtree at every level
@@ -111,40 +124,64 @@ class MagOperad(Operad):
     def arity(self, x) -> int:
         a = self._arities.get(x)
         if a is None:
-            a = self._arities[x] = self.arity(x[1]) + self.arity(x[2])
+            a = self._arities[x] = sum(self.arity(c) for c in x[1:])
         return a
 
-    def unit(self, c: str):
-        if c != MONO:
-            raise BudgenError("unknown color %r" % c)
-        return LEAF
-
     def _compose(self, x, i: int, y):
-        if x == LEAF:
+        if x[0] in _UNIT_HEADS:
             return y
-        left_arity = self.arity(x[1])
-        if i <= left_arity:
-            return (self.NODE, self._compose(x[1], i, y), x[2])
-        return (self.NODE, x[1], self._compose(x[2], i - left_arity, y))
+        if y[0] in _UNIT_HEADS:
+            return x
+        return self._graft(x, i, y)
 
-    def corolla(self):
-        return (self.NODE, LEAF, LEAF)
+    def _graft(self, x, i, y):
+        """x o_i y for a node x and a non-unit y."""
+        offset = 0
+        for j in range(1, len(x)):
+            child = x[j]
+            a = self.arity(child)
+            if i <= offset + a:
+                if child == LEAF:
+                    mid = self._plant(x[0], y)
+                else:
+                    mid = (self._graft(child, i - offset, y),)
+                return x[:j] + mid + x[j + 1:]
+            offset += a
+        raise PositionError("leaf %d not found" % i)  # pragma: no cover
+
+    def _plant(self, label, y) -> tuple:
+        """The children that y becomes in place of a leaf of a node
+        labeled `label`."""
+        return (y,)
 
     def dumps(self, x) -> str:
         return dumps_term(x)
 
     def loads(self, text: str):
         t = loads_term(text)
-        self._validate(t)
+        self.validate(t)
         return t
 
-    def _validate(self, t):
+
+# ---------------------------------------------------------------------------
+# magmatic operad: planar binary trees under leaf grafting
+
+
+class MagOperad(TermOperad):
+    """Binary trees; composition grafts a tree onto the i-th leaf."""
+
+    NODE = "c"
+
+    def corolla(self):
+        return (self.NODE, LEAF, LEAF)
+
+    def validate(self, t) -> None:
         if t == LEAF:
             return
         if not (isinstance(t, tuple) and t[0] == self.NODE and len(t) == 3):
             raise BudgenError("not a binary tree: %r" % (t,))
-        self._validate(t[1])
-        self._validate(t[2])
+        self.validate(t[1])
+        self.validate(t[2])
 
     def elements(self, n: int):
         if n == 1:
@@ -174,6 +211,8 @@ class DiasOperad(Operad):
     `str.translate` table of the pivot letter u_i.
     """
 
+    UNIT = "0"
+
     def __init__(self, gamma: int):
         if gamma < 0:
             raise BudgenError("gamma must be >= 0")
@@ -184,20 +223,8 @@ class DiasOperad(Operad):
     def arity(self, x: str) -> int:
         return len(x)
 
-    def unit(self, c: str) -> str:
-        if c != MONO:
-            raise BudgenError("unknown color %r" % c)
-        return "0"
-
     def _compose(self, x: str, i: int, y: str) -> str:
         return x[:i - 1] + y.translate(_DIAS_RAISE[x[i - 1]]) + x[i:]
-
-    def dumps(self, x: str) -> str:
-        return x
-
-    def loads(self, text: str) -> str:
-        self.validate(text)
-        return text
 
     def validate(self, word: str) -> None:
         if word.count("0") != 1:
@@ -224,23 +251,13 @@ class MotzOperad(Operad):
     i-1 and i).
     """
 
+    UNIT = ""
+
     def arity(self, x: str) -> int:
         return len(x) + 1
 
-    def unit(self, c: str) -> str:
-        if c != MONO:
-            raise BudgenError("unknown color %r" % c)
-        return ""
-
     def _compose(self, x: str, i: int, y: str) -> str:
         return x[:i - 1] + y + x[i - 1:]
-
-    def dumps(self, x: str) -> str:
-        return x
-
-    def loads(self, text: str) -> str:
-        self.validate(text)
-        return text
 
     def validate(self, steps: str) -> None:
         height = 0
@@ -276,7 +293,7 @@ class MotzOperad(Operad):
 # operad of alternating Schroeder trees
 
 
-class ASchrOperad(Operad):
+class ASchrOperad(TermOperad):
     """Planar trees with internal arity >= 2, nodes labeled a or b, and no
     equal-label parent/child pair.  Grafting merges the grafted root into
     the parent node when their labels coincide.
@@ -284,54 +301,12 @@ class ASchrOperad(Operad):
 
     LABELS = ("a", "b")
 
-    def arity(self, x) -> int:
-        if x == LEAF:
-            return 1
-        return sum(self.arity(c) for c in x[1:])
-
-    def unit(self, c: str):
-        if c != MONO:
-            raise BudgenError("unknown color %r" % c)
-        return LEAF
-
     def corolla(self, label: str, n: int = 2):
         return tuple([label] + [LEAF] * n)
 
-    def _compose(self, x, i: int, y):
-        if x == LEAF:
-            return y
-        return self._graft(x, i, y)
-
-    def _graft(self, x, i, y):
-        label = x[0]
-        children = list(x[1:])
-        offset = 0
-        for j, child in enumerate(children):
-            a = self.arity(child)
-            if offset < i <= offset + a:
-                if child == LEAF:
-                    if y == LEAF:
-                        return x
-                    if y[0] == label:
-                        # merge: splice the children of y in place of the leaf
-                        new_children = children[:j] + list(y[1:]) + children[j + 1:]
-                    else:
-                        new_children = children[:j] + [y] + children[j + 1:]
-                else:
-                    new_children = (children[:j]
-                                    + [self._graft(child, i - offset, y)]
-                                    + children[j + 1:])
-                return tuple([label] + new_children)
-            offset += a
-        raise PositionError("leaf %d not found" % i)  # pragma: no cover
-
-    def dumps(self, x) -> str:
-        return dumps_term(x)
-
-    def loads(self, text: str):
-        t = loads_term(text)
-        self.validate(t)
-        return t
+    def _plant(self, label, y) -> tuple:
+        # merge: the children of y take the place of the leaf
+        return y[1:] if y[0] == label else (y,)
 
     def validate(self, t, parent_label=None) -> None:
         if t == LEAF:
@@ -416,7 +391,7 @@ class CollectionSpec:
         return len(self.gens[name][1])
 
 
-class FreeOperad(Operad):
+class FreeOperad(TermOperad):
     """Free colored operad over a CollectionSpec.
 
     Elements are syntax trees: the unit of color c is ('!', c); other
@@ -426,16 +401,11 @@ class FreeOperad(Operad):
     """
 
     def __init__(self, spec: CollectionSpec):
+        super().__init__()
         self.spec = spec
         self.colors = spec.colors
-        self._arities: dict = {}  # arity memo, as in MagOperad
-
-    def arity(self, x) -> int:
-        a = self._arities.get(x)
-        if a is None:
-            a = self._arities[x] = 1 if x[0] == UNIT_TAG else sum(
-                1 if c == LEAF else self.arity(c) for c in x[1:])
-        return a
+        # a unit ('!', c) is not a node over leaves: its arity is seeded
+        self._arities.update((self.unit(c), 1) for c in self.colors)
 
     def out(self, x) -> str:
         if x[0] == UNIT_TAG:
@@ -465,41 +435,11 @@ class FreeOperad(Operad):
     def corolla(self, name: str):
         return tuple([name] + [LEAF] * self.spec.arity(name))
 
-    def _compose(self, x, i: int, y):
-        if x[0] == UNIT_TAG:
-            return y
-        if y[0] == UNIT_TAG:
-            return x
-        return self._graft(x, i, y)
-
-    def _graft(self, x, i, y):
-        children = list(x[1:])
-        offset = 0
-        for j, child in enumerate(children):
-            a = 1 if child == LEAF else self.arity(child)
-            if offset < i <= offset + a:
-                if child == LEAF:
-                    children[j] = y
-                else:
-                    children[j] = self._graft(child, i - offset, y)
-                return tuple([x[0]] + children)
-            offset += a
-        raise BudgenError("leaf %d not found" % i)  # pragma: no cover
-
-    def dumps(self, x) -> str:
-        return dumps_term(x)
-
-    def loads(self, text: str):
-        t = loads_term(text)
-        self.validate(t)
-        return t
-
     def validate(self, t, expected_out: str | None = None) -> None:
         if t == LEAF:
             raise BudgenError("bare leaf is not an element")
         if t[0] == UNIT_TAG:
-            if t[1] not in self.colors:
-                raise BudgenError("unknown color %r" % t[1])
+            self.unit(t[1])  # rejects an unknown color
             return
         name = t[0]
         if name not in self.spec.gens:
@@ -644,6 +584,18 @@ def finitely_factorizing_check(op: Operad, s1) -> tuple[bool, int]:
     return (True, best)
 
 
+def arity1_chain(op: Operad, elements, what: str) -> int:
+    """The longest color chain of the arity-1 part of `elements`, for the
+    caps of the computation named `what`; a color cycle raises
+    DivergenceError, since the computation would then never stop."""
+    ok, chain = finitely_factorizing_check(
+        op, [x for x in elements if op.arity(x) == 1])
+    if not ok:
+        raise DivergenceError(
+            "%s diverges: arity-1 support admits a color cycle" % what)
+    return chain
+
+
 def degree_bound(n: int, k: int) -> int:
     """Maximum degree of a treelike expression of an arity-n element when
     the longest arity-1 generator chain has length k."""
@@ -715,9 +667,7 @@ def treelike_expressions(op: Operad, gens, x, max_degree: int | None = None):
     """
     gens = list(gens)
     if max_degree is None:
-        ok, k = finitely_factorizing_check(op, [g for g in gens if op.arity(g) == 1])
-        if not ok:
-            raise DivergenceError("arity-1 generators admit a color cycle")
+        k = arity1_chain(op, gens, "treelike expression enumeration")
         max_degree = degree_bound(op.arity(x), k)
     table = all_treelike(op, gens, op.arity(x), max_degree)
     return table.get(x, [])

@@ -17,7 +17,7 @@ from math import comb
 from operator import itemgetter
 
 from .core import BudgenError, BudOperad, DivergenceError, Operad, type_of
-from .operads import AsOperad, degree_bound, finitely_factorizing_check
+from .operads import AsOperad, arity1_chain, degree_bound
 
 _first = itemgetter(0)
 
@@ -225,23 +225,12 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
     assign(0, 0, 0, weight)
 
 
-def _chain(f: Series, what: str) -> int:
-    """The longest arity-1 color chain of f's support; a cycle diverges."""
-    op = f.operad
-    ok, chain = finitely_factorizing_check(
-        op, [x for x in f.coeffs if op.arity(x) == 1])
-    if not ok:
-        raise DivergenceError(
-            "%s diverges: arity-1 support admits a color cycle" % what)
-    return chain
-
-
 def pre_lie_star(f: Series, inputs=None) -> Series:
     """Unique solution of x = u + x <- f, truncated at the bound of f and
     composed on the right with the units of `inputs` (default: all), by
     node count: a coefficient sums the increasing labelings of f-trees."""
     op = f.operad
-    top = degree_bound(f.bound, _chain(f, "pre-Lie star"))
+    top = degree_bound(f.bound, arity1_chain(op, f.coeffs, "pre-Lie star"))
     coeffs, pools = {}, {}
     level = units_series(op, f.bound, inputs).coeffs
     for k in range(top + 1):  # levels in between may be empty
@@ -261,7 +250,8 @@ def compose_star(f: Series, inputs=None) -> Series:
     """Unique solution of x = u + x (.) f, truncated at the bound of f and
     composed on the right with the units of `inputs` (default: all); by
     height, as f^h (.) t = f (.) (f^(h-1) (.) t)."""
-    cap = degree_bound(f.bound, _chain(f, "composition star")) + 2
+    chain = arity1_chain(f.operad, f.coeffs, "composition star")
+    cap = degree_bound(f.bound, chain) + 2
     level = total = units_series(f.operad, f.bound, inputs)
     for _ in range(cap):
         level = compose_prod(f, level)
@@ -315,10 +305,7 @@ def compose_inverse(f: Series, inputs=None) -> Series:
         for a in op.ins(x):
             denom = denom * unit_coeff[a]
         weights[x] = _divide(-c, denom)
-    s1 = [x for x in weights if op.arity(x) == 1]
-    ok, chain = finitely_factorizing_check(op, s1)
-    if not ok:
-        raise DivergenceError("composition inverse diverges: color cycle")
+    chain = arity1_chain(op, weights, "composition inverse")
     current = _graded_tree_sum(op, weights, f.bound, chain, inputs)
     return Series._unchecked(op, f.bound, {x: _divide(c, unit_coeff[op.out(x)])
                                            for x, c in current.items()})

@@ -18,7 +18,7 @@ import json
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .core import MONO, BudgenError, BudOperad, DivergenceError, Operad
+from .core import MONO, BudgenError, BudOperad, Operad
 from .operads import (
     ASchrOperad,
     AsOperad,
@@ -27,6 +27,7 @@ from .operads import (
     FreeOperad,
     MagOperad,
     MotzOperad,
+    arity1_chain,
     finitely_factorizing_check,
 )
 from . import series as S
@@ -121,12 +122,10 @@ class BudSystem:
         return S.zero_one_coefficients(self.sync_series(bound))
 
     def is_faithful(self, bound: int) -> bool:
-        lang = S.characteristic(self.bud, self.language(bound), bound)
-        return S.zero_one_coefficients(S.pru_series(lang))
+        return _faithful(self.language(bound))
 
     def is_sync_faithful(self, bound: int) -> bool:
-        lang = S.characteristic(self.bud, self.sync_language(bound), bound)
-        return S.zero_one_coefficients(S.pru_series(lang))
+        return _faithful(self.sync_language(bound))
 
     # -- derivations ---------------------------------------------------------
 
@@ -153,9 +152,7 @@ class BudSystem:
         x (.) r).  An arity-1 rule on a color cycle makes the closure
         infinite; a graph above GRAPH_VERTEX_BUDGET vertices raises
         BudgenError."""
-        if not self.ff_check()[0]:
-            raise DivergenceError(
-                "derivation graph diverges: arity-1 rules admit a color cycle")
+        arity1_chain(self.bud, self.rules, "derivation graph")
         product = S.compose_prod if synchronous else S.pre_lie
         rules = self.rule_series(bound)
         frontier = [self.bud.unit(c) for c in self.initial]
@@ -175,6 +172,12 @@ class BudSystem:
                         nxt.append(y)
             frontier = nxt
         return DerivGraph(self, vertices, edges)
+
+
+def _faithful(lang: set) -> bool:
+    """No two elements of lang share a ground element: the 0/1 test of
+    the pruned characteristic series, without building it."""
+    return len({x[1] for x in lang}) == len(lang)
 
 
 class DerivGraph:

@@ -27,7 +27,7 @@ import math
 from types import MappingProxyType
 
 from .core import BudgenError, DivergenceError, type_of
-from .operads import degree_bound
+from .operads import arity1_chain, degree_bound
 from .systems import BudSystem
 
 
@@ -182,14 +182,6 @@ def _y(system: BudSystem, color: str, bound: int) -> dict:
     return {unit: 1} if bound >= 1 else {}
 
 
-def _chain(system: BudSystem) -> int:
-    """The longest chain of arity-1 rules; a color cycle diverges."""
-    ok, chain = system.ff_check()
-    if not ok:
-        raise DivergenceError("arity-1 rules admit a color cycle")
-    return chain
-
-
 def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
     """{a: f_a} for the fixpoint of f_a = y_a + g_a(f_c1, .., f_ck): the
     treelike expressions by output color and input type, degree slice by
@@ -197,7 +189,7 @@ def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
     d into its slice d, so slice d of f starts from y and the rules of
     arity >= 2 over the finished slices; the arity-1 rules then add
     increments, which vanish within chain + 1 rounds."""
-    chain = _chain(system)
+    chain = arity1_chain(system.bud, system.rules, "functional system")
     colors = system.colors
     k = len(colors)
     units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
@@ -273,7 +265,8 @@ def _solve_sync(system: BudSystem, bound: int, variables, box=None) -> dict:
     """{a: f_a} for f_a = y_a + f_a(g_c1, .., g_ck): the sum of the layers
     up to the first empty one."""
     # bound 0 still takes one layer to see the zero truncation
-    cap = degree_bound(max(bound, 1), _chain(system)) + 2
+    chain = arity1_chain(system.bud, system.rules, "functional system")
+    cap = degree_bound(max(bound, 1), chain) + 2
     f: dict = {a: {} for a in system.colors}
     for layer, _ in zip(_sync_layers(system, bound, variables, box),
                         range(cap)):

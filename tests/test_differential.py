@@ -112,6 +112,11 @@ def test_series_of_random_systems_match_the_oracles(case):
         assert synt.coeff(x) == len(trees)
         assert sync.coeff(x) == sum(1 for t in trees if st_is_perfect(t))
         assert hook.coeff(x) == sum(hook_count(t) for t in trees)
+    # faithful: the pruned characteristic series of the language is 0/1
+    for verdict, language in ((system.is_faithful, system.language),
+                              (system.is_sync_faithful, system.sync_language)):
+        lang = S.characteristic(op, language(bound), bound)
+        assert verdict(bound) == S.zero_one_coefficients(S.pru_series(lang))
     # the system series are seeded with the terminal units only
     for kind, middle in (("hook", hook), ("synt", synt), ("sync", sync)):
         assert getattr(system, kind + "_series")(bound) == \

@@ -12,7 +12,14 @@ from fractions import Fraction
 import pytest
 
 import budgen.series as S
-from budgen.core import MONO, AsOperad, BudOperad, CompositionError, PositionError
+from budgen.core import (
+    MONO,
+    AsOperad,
+    BudgenError,
+    BudOperad,
+    CompositionError,
+    PositionError,
+)
 from budgen.operads import (
     ASchrOperad,
     CollectionSpec,
@@ -52,6 +59,23 @@ def test_ground_compose_rejects_bad_positions(op, x, y):
         op.full_compose(x, [y] * (n + 1))
     assert op.compose(x, n, y) == op._compose(x, n, y)
     assert op.full_compose(x, [y] * n) == op._full_compose(x, [y] * n)
+
+
+@pytest.mark.parametrize("op,x,y", GROUNDS,
+                         ids=[type(g[0]).__name__ for g in GROUNDS])
+def test_ground_unit_and_serialization(op, x, y):
+    # the contract every ground shares, whichever class defines it
+    u = op.unit(MONO)
+    composites = [op.compose(x, i, y) for i in range(1, op.arity(x) + 1)]
+    composites += [op.compose(y, i, x) for i in range(1, op.arity(y) + 1)]
+    for z in [x, y] + composites:
+        assert op.compose(u, 1, z) == z
+        for i in range(1, op.arity(z) + 1):
+            assert op.compose(z, i, u) == z
+        assert op.loads(op.dumps(z)) == z
+    assert op.loads(op.dumps(u)) == u
+    with pytest.raises(BudgenError):
+        op.unit("2")
 
 
 def test_colored_ground_compose_rejects_bad_colors():
