@@ -11,9 +11,12 @@ Three input formats, one production per line, `LHS -> RHS`:
   zero); ranks are inferred and must be consistent.
 * synchronous grammars: the right side is a tree over unlabeled nodes,
   written with the arity-indexed names `n2(..)`, `n3(..)`, .., whose
-  leaves are color tokens; a bare color is a unit rule.  Optional
-  directives `start: c` and `terminal: c1 c2 ..` override the defaults
-  (first left side; every color).
+  leaves are color tokens; a bare color is a unit rule.
+
+One line reader serves the three formats: `#` starts a comment, and a
+directive `start: c` (any format) or `terminal: c1 c2 ..` (synchronous
+grammars) overrides the default, the first left side or every color;
+the last directive of a name wins.
 
 Each compiler returns a BudSystem whose (synchronous) language is in
 bijection with the generated language; each has an independent
@@ -37,23 +40,31 @@ from .operads import AsOperad
 from .systems import BudSystem
 
 
-def _parse_lines(text: str):
-    """Yield (kind, payload): ('directive', (name, value)) or
-    ('production', (lhs, rhs_text))."""
+def _parse_lines(text: str, directives=("start",)):
+    """The productions [(lhs, rhs_text)] of a grammar, in order, and its
+    directive values {name: value} (the last one wins); `start` defaults
+    to the first left side."""
+    productions = []
+    values = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "->" in line:
             lhs, rhs = line.split("->", 1)
-            lhs = lhs.strip()
-            validate_color_token(lhs)
-            yield ("production", (lhs, rhs.strip()))
+            productions.append((validate_color_token(lhs.strip()),
+                                rhs.strip()))
         elif ":" in line:
-            name, value = line.split(":", 1)
-            yield ("directive", (name.strip(), value.strip()))
+            name, value = (part.strip() for part in line.split(":", 1))
+            if name not in directives:
+                raise BudgenError("unknown directive %r" % name)
+            values[name] = value
         else:
             raise BudgenError("cannot parse line %r" % raw)
+    if not productions:
+        raise BudgenError("grammar has no productions")
+    values.setdefault("start", productions[0][0])
+    return productions, values
 
 
 # ---------------------------------------------------------------------------
@@ -74,27 +85,16 @@ class Cfg:
 
 
 def parse_cfg(text: str) -> Cfg:
+    lines, values = _parse_lines(text)
     productions = []
-    start = None
-    for kind, payload in _parse_lines(text):
-        if kind == "directive":
-            name, value = payload
-            if name != "start":
-                raise BudgenError("unknown directive %r" % name)
-            start = value
-            continue
-        lhs, rhs_text = payload
+    for lhs, rhs_text in lines:
         rhs = tuple(rhs_text.split())
         if not rhs:
             raise BudgenError("empty right sides are not supported")
         for s in rhs:
             validate_color_token(s)
         productions.append((lhs, rhs))
-        if start is None:
-            start = lhs
-    if not productions:
-        raise BudgenError("grammar has no productions")
-    return Cfg(start, productions)
+    return Cfg(values["start"], productions)
 
 
 def cfg_to_bud(cfg: Cfg) -> BudSystem:
@@ -162,24 +162,14 @@ class Rtg:
 
 
 def parse_rtg(text: str) -> Rtg:
+    lines, values = _parse_lines(text)
     rules = []
-    start = None
-    for kind, payload in _parse_lines(text):
-        if kind == "directive":
-            name, value = payload
-            if name != "start":
-                raise BudgenError("unknown directive %r" % name)
-            start = value
-            continue
-        lhs, rhs_text = payload
+    for lhs, rhs_text in lines:
         t = loads_term(rhs_text)
         if t == LEAF or t[0] == UNIT_TAG:
             raise BudgenError("reserved token in tree %r" % rhs_text)
         rules.append((lhs, t))
-        if start is None:
-            start = lhs
-    if not rules:
-        raise BudgenError("grammar has no rules")
+    start = values["start"]
     rtg = Rtg(start, rules)
     if start not in rtg.variables:
         raise BudgenError("start symbol %r has no rule" % start)
@@ -280,26 +270,8 @@ class Sg:
 
 
 def parse_sg(text: str) -> Sg:
-    rules = []
-    start = None
-    terminal = None
-    for kind, payload in _parse_lines(text):
-        if kind == "directive":
-            name, value = payload
-            if name == "start":
-                start = value
-            elif name == "terminal":
-                terminal = tuple(value.split())
-            else:
-                raise BudgenError("unknown directive %r" % name)
-            continue
-        lhs, rhs_text = payload
-        t = loads_term(rhs_text)
-        rules.append((lhs, t))
-        if start is None:
-            start = lhs
-    if not rules:
-        raise BudgenError("grammar has no rules")
+    lines, values = _parse_lines(text, ("start", "terminal"))
+    rules = [(lhs, loads_term(rhs_text)) for lhs, rhs_text in lines]
     colors = []
     for lhs, t in rules:
         if lhs not in colors:
@@ -320,9 +292,8 @@ def parse_sg(text: str) -> Sg:
 
     for _, t in rules:
         scan(t)
-    if terminal is None:
-        terminal = tuple(colors)
-    return Sg(start, terminal, colors, rules)
+    terminal = values["terminal"].split() if "terminal" in values else colors
+    return Sg(values["start"], terminal, colors, rules)
 
 
 def sg_to_bud(sg: Sg, cap: int | None = None) -> BudSystem:

@@ -9,7 +9,8 @@ words print as digit strings; Motzkin paths print as U/H/D step strings
 
 The three tree-shaped operads (magmatic, Schroeder and free) share one
 term core, `TermOperad`: a memoized arity, one leaf walk for grafting,
-and the term serialization.
+the term serialization, and one enumerator and one validator that both
+follow from the node rule `_nodes(above, n)` each class states once.
 """
 
 from __future__ import annotations
@@ -110,8 +111,12 @@ class TermOperad(Operad):
     """Terms (label, child, ..) whose leaves are LEAF, and whose units are
     LEAF or (UNIT_TAG, c); x o_i y grafts y onto the i-th leaf of x.
 
-    Subclasses define `validate`, which `loads` runs on every parsed
-    term, and may override `_plant`, which says what a grafted term
+    Subclasses state one node rule, `_nodes(above, n)`: the pairs
+    (label, child contexts) of the nodes allowed under the context
+    `above` (None at the root), each with at most n children; a child
+    context is the `above` of that child.  `elements(n)` and `validate`,
+    which `loads` runs on every parsed term, both follow from it.  A
+    subclass may also override `_plant`, which says what a grafted term
     becomes below its new parent.
     """
 
@@ -154,6 +159,41 @@ class TermOperad(Operad):
         labeled `label`."""
         return (y,)
 
+    def _nodes(self, above, n: int):
+        raise NotImplementedError
+
+    def elements(self, n: int):
+        def trees(n, above):
+            if n == 1:
+                yield LEAF
+            for label, contexts in self._nodes(above, n):
+                for split in _compositions(n, len(contexts)):
+                    for children in product(
+                            *[trees(m, c) for m, c in zip(split, contexts)]):
+                        yield (label,) + children
+
+        return trees(n, None)
+
+    def validate(self, t) -> None:
+        def walk(node, above):
+            for label, contexts in self._nodes(above, len(node) - 1):
+                if label == node[0] and len(contexts) == len(node) - 1:
+                    break
+            else:
+                raise BudgenError("node %s not allowed in %s"
+                                  % (dumps_term(node), dumps_term(t)))
+            for child, context in zip(node[1:], contexts):
+                if child == LEAF:
+                    continue
+                if child[0] == UNIT_TAG:
+                    # g(!1,*) is g(*,*): a unit is an element only on its own
+                    raise BudgenError("unit %s below the root of %s"
+                                      % (dumps_term(child), dumps_term(t)))
+                walk(child, context)
+
+        if t != LEAF:
+            walk(t, None)
+
     def dumps(self, x) -> str:
         return dumps_term(x)
 
@@ -175,22 +215,8 @@ class MagOperad(TermOperad):
     def corolla(self):
         return (self.NODE, LEAF, LEAF)
 
-    def validate(self, t) -> None:
-        if t == LEAF:
-            return
-        if not (isinstance(t, tuple) and t[0] == self.NODE and len(t) == 3):
-            raise BudgenError("not a binary tree: %r" % (t,))
-        self.validate(t[1])
-        self.validate(t[2])
-
-    def elements(self, n: int):
-        if n == 1:
-            yield LEAF
-            return
-        for k in range(1, n):
-            for left in self.elements(k):
-                for right in self.elements(n - k):
-                    yield (self.NODE, left, right)
+    def _nodes(self, above, n: int):
+        return [(self.NODE, (None, None))] if n >= 2 else []
 
 
 # ---------------------------------------------------------------------------
@@ -308,34 +334,10 @@ class ASchrOperad(TermOperad):
         # merge: the children of y take the place of the leaf
         return y[1:] if y[0] == label else (y,)
 
-    def validate(self, t, parent_label=None) -> None:
-        if t == LEAF:
-            return
-        label = t[0]
-        if label not in self.LABELS:
-            raise BudgenError("bad node label %r" % label)
-        if len(t) - 1 < 2:
-            raise BudgenError("internal nodes need arity >= 2")
-        if label == parent_label:
-            raise BudgenError("equal-label parent/child pair")
-        for child in t[1:]:
-            self.validate(child, label)
-
-    def elements(self, n: int):
-        yield from self._elements(n, None)
-
-    def _elements(self, n: int, parent_label):
-        if n == 1:
-            yield LEAF
-            return
-        for label in self.LABELS:
-            if label == parent_label:
-                continue
-            for arity in range(2, n + 1):
-                for split in _compositions(n, arity):
-                    for children in product(
-                            *[self._elements(m, label) for m in split]):
-                        yield (label,) + children
+    def _nodes(self, above, n: int):
+        # 2..n children, and never the label of the parent
+        return ((label, (label,) * k) for label in self.LABELS
+                if label != above for k in range(2, n + 1))
 
 
 def _compositions(n: int, parts: int):
@@ -435,51 +437,29 @@ class FreeOperad(TermOperad):
     def corolla(self, name: str):
         return tuple([name] + [LEAF] * self.spec.arity(name))
 
-    def validate(self, t, expected_out: str | None = None) -> None:
+    def _nodes(self, above, n: int):
+        # the generators whose output is `above` (at the root, each color
+        # in turn), their input colors expected below them
+        return [(name, ins) for c in (self.colors if above is None else (above,))
+                for name, (out, ins) in self.spec.gens.items()
+                if out == c and len(ins) <= n]
+
+    def validate(self, t) -> None:
         if t == LEAF:
             raise BudgenError("bare leaf is not an element")
         if t[0] == UNIT_TAG:
             self.unit(t[1])  # rejects an unknown color
-            return
-        name = t[0]
-        if name not in self.spec.gens:
-            raise BudgenError("unknown generator %r" % name)
-        if len(t) - 1 != self.spec.arity(name):
-            raise BudgenError("generator %r expects %d children"
-                              % (name, self.spec.arity(name)))
-        if expected_out is not None and self.spec.out(name) != expected_out:
-            raise BudgenError("output color mismatch at %r" % name)
-        for color, child in zip(self.spec.ins(name), t[1:]):
-            if child == LEAF:
-                continue
-            if child[0] == UNIT_TAG:
-                # g(!1,*) is g(*,*): a unit is an element only on its own
-                raise BudgenError("unit %s below the root of %s"
-                                  % (dumps_term(child), dumps_term(t)))
-            self.validate(child, color)
+        else:
+            super().validate(t)
 
     def elements(self, n: int):
         if any(self.spec.arity(name) == 1 for name in self.spec.gens):
             raise BudgenError(
                 "per-arity enumeration needs a signature without arity-1 generators")
-        for c in self.colors:
-            yield from self._elements(n, c)
-
-    def _elements(self, n: int, out_color: str):
         if n == 1:
-            yield self.unit(out_color)
-        for name, (out, ins) in self.spec.gens.items():
-            if out != out_color or len(ins) > n:
-                continue
-            for split in _compositions(n, len(ins)):
-                pools = []
-                for m, c in zip(split, ins):
-                    pool = [LEAF] if m == 1 else []
-                    pool.extend(t for t in self._elements(m, c)
-                                if t[0] != UNIT_TAG)
-                    pools.append(pool)
-                for children in product(*pools):
-                    yield (name,) + children
+            yield from map(self.unit, self.colors)
+        else:
+            yield from super().elements(n)
 
 
 def capped_tree_operad(cap: int) -> FreeOperad:

@@ -81,13 +81,12 @@ class BudSystem:
             bound)
 
     def _filtered(self, middle: S.Series, bound: int) -> S.Series:
-        """i (.) middle (.) t: the terms whose output color is initial and
-        whose input colors are all terminal."""
+        """i (.) middle: the terms whose output color is initial.  The
+        middle is built up from the units of the terminal colors only
+        (`inputs=`), so its input colors are all terminal already."""
         initial = set(self.initial)
-        terminal = set(self.terminal)
         return S.Series._unchecked(self.bud, bound, {
-            x: c for x, c in middle.coeffs.items()
-            if x[0] in initial and terminal.issuperset(x[2])})
+            x: c for x, c in middle.coeffs.items() if x[0] in initial})
 
     def _series(self, kind: str, bound: int, middle) -> S.Series:
         """i (.) middle(r, t), cached per kind and bound."""

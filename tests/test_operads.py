@@ -181,6 +181,70 @@ def test_free_operad_validation():
                                                    op.corolla("b"))
 
 
+def _binary_ternary_spec():
+    return CollectionSpec([("a", MONO, (MONO,) * 2), ("b", MONO, (MONO,) * 3)])
+
+
+def test_free_operad_counts():
+    # one binary and one ternary generator: A001002 (polygon dissections)
+    op = FreeOperad(_binary_ternary_spec())
+    assert [len(list(op.elements(n))) for n in range(1, 8)] == [
+        1, 1, 3, 10, 38, 154, 654]
+    op = FreeOperad(_two_color_spec())
+    assert [len(list(op.elements(n))) for n in range(1, 8)] == [
+        2, 1, 2, 4, 9, 22, 56]
+    with pytest.raises(BudgenError, match="arity-1 generators"):
+        list(capped_tree_operad(2).elements(3))
+
+
+def _terms_up_to(size: int, labels, leaves):
+    """Every term of size <= `size` over `labels`, with leaves from
+    `leaves`; the size counts the leaves and the one-child nodes."""
+    terms = {1: list(leaves)}
+
+    def forests(k, largest):
+        # child lists of total size k, each child of size <= largest
+        if k == 0:
+            yield ()
+        for j in range(1, min(k, largest) + 1):
+            for t in terms[j]:
+                for rest in forests(k - j, largest):
+                    yield (t,) + rest
+
+    for k in range(2, size + 1):
+        terms[k] = [(label, t) for label in labels for t in terms[k - 1]]
+        terms[k].extend((label,) + children for children in forests(k, k - 1)
+                        for label in labels)
+    return [t for k in sorted(terms) for t in terms[k]]
+
+
+def _leaves(t) -> int:
+    if t == "*" or t[0] == "!":
+        return 1
+    return sum(_leaves(c) for c in t[1:])
+
+
+@pytest.mark.parametrize("make", [
+    MagOperad, ASchrOperad, lambda: FreeOperad(_two_color_spec()),
+    lambda: FreeOperad(_binary_ternary_spec())],
+    ids=["mag", "aschr", "free-two-color", "free-binary-ternary"])
+def test_loads_accepts_exactly_the_elements(make):
+    # labels of every ground above, one unknown label and the unit !1
+    op = make()
+    elements = {n: set(op.elements(n)) for n in range(1, 5)}
+    terms = _terms_up_to(4, ["a", "b", "c", "z"], ["*", ("!", "1")])
+    for t in terms:
+        text = dumps_term(t)
+        if t in elements[_leaves(t)]:
+            assert op.loads(text) == t
+        else:
+            with pytest.raises(BudgenError):
+                op.loads(text)
+    # the terms hold every element with at most 4 leaves but the unit !2
+    missed = set().union(*elements.values()) - set(terms)
+    assert missed <= {("!", "2")}
+
+
 def test_collection_spec_validation():
     with pytest.raises(BudgenError):
         CollectionSpec([("a(", "1", ("1",))])

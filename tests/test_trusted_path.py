@@ -134,7 +134,10 @@ def test_filter_equals_products_with_unit_series(name):
     t = S.characteristic(bud, [bud.unit(c) for c in system.terminal], bound)
     r = system.rule_series(bound)
     u = S.units_series(bud, bound)
-    for middle in (S.pre_lie_star(r), S.compose_inverse(S.sub(u, r)),
-                   S.compose_star(r)):
+    # the middles as the system series build them, from the terminal units
+    inputs = system.terminal
+    for middle in (S.pre_lie_star(r, inputs),
+                   S.compose_inverse(S.sub(u, r), inputs),
+                   S.compose_star(r, inputs)):
         expect = S.compose_prod(S.compose_prod(i, middle), t)
         assert system._filtered(middle, bound) == expect, name
