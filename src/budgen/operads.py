@@ -10,7 +10,7 @@ words print as digit strings; Motzkin paths print as U/H/D step strings
 The three tree-shaped operads (magmatic, Schroeder and free) share one
 term core, `TermOperad`: a memoized arity, one leaf walk for grafting,
 the term serialization, and one enumerator and one validator that both
-follow from the node rule `_nodes(above, n)` each class states once.
+follow from the node rule `_nodes(above, k)` each class states once.
 """
 
 from __future__ import annotations
@@ -111,10 +111,10 @@ class TermOperad(Operad):
     """Terms (label, child, ..) whose leaves are LEAF, and whose units are
     LEAF or (UNIT_TAG, c); x o_i y grafts y onto the i-th leaf of x.
 
-    Subclasses state one node rule, `_nodes(above, n)`: the pairs
-    (label, child contexts) of the nodes allowed under the context
-    `above` (None at the root), each with at most n children; a child
-    context is the `above` of that child.  `elements(n)` and `validate`,
+    Subclasses state one node rule, `_nodes(above, k)`: the pairs
+    (label, child contexts) of the nodes with exactly k children allowed
+    under the context `above` (None at the root); a child context is the
+    `above` of that child.  `elements(n)` and `validate`,
     which `loads` runs on every parsed term, both follow from it.  A
     subclass may also override `_plant`, which says what a grafted term
     becomes below its new parent.
@@ -159,25 +159,26 @@ class TermOperad(Operad):
         labeled `label`."""
         return (y,)
 
-    def _nodes(self, above, n: int):
+    def _nodes(self, above, k: int):
         raise NotImplementedError
 
     def elements(self, n: int):
         def trees(n, above):
             if n == 1:
                 yield LEAF
-            for label, contexts in self._nodes(above, n):
-                for split in _compositions(n, len(contexts)):
-                    for children in product(
-                            *[trees(m, c) for m, c in zip(split, contexts)]):
-                        yield (label,) + children
+            for k in range(1, n + 1):
+                for label, contexts in self._nodes(above, k):
+                    for split in _compositions(n, k):
+                        for children in product(*[trees(m, c) for m, c
+                                                  in zip(split, contexts)]):
+                            yield (label,) + children
 
         return trees(n, None)
 
     def validate(self, t) -> None:
         def walk(node, above):
             for label, contexts in self._nodes(above, len(node) - 1):
-                if label == node[0] and len(contexts) == len(node) - 1:
+                if label == node[0]:
                     break
             else:
                 raise BudgenError("node %s not allowed in %s"
@@ -215,8 +216,8 @@ class MagOperad(TermOperad):
     def corolla(self):
         return (self.NODE, LEAF, LEAF)
 
-    def _nodes(self, above, n: int):
-        return [(self.NODE, (None, None))] if n >= 2 else []
+    def _nodes(self, above, k: int):
+        return [(self.NODE, (None, None))] if k == 2 else []
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +335,10 @@ class ASchrOperad(TermOperad):
         # merge: the children of y take the place of the leaf
         return y[1:] if y[0] == label else (y,)
 
-    def _nodes(self, above, n: int):
-        # 2..n children, and never the label of the parent
-        return ((label, (label,) * k) for label in self.LABELS
-                if label != above for k in range(2, n + 1))
+    def _nodes(self, above, k: int):
+        # at least 2 children, and never the label of the parent
+        return [(label, (label,) * k) for label in self.LABELS
+                if label != above] if k >= 2 else []
 
 
 def _compositions(n: int, parts: int):
@@ -437,12 +438,12 @@ class FreeOperad(TermOperad):
     def corolla(self, name: str):
         return tuple([name] + [LEAF] * self.spec.arity(name))
 
-    def _nodes(self, above, n: int):
-        # the generators whose output is `above` (at the root, each color
-        # in turn), their input colors expected below them
+    def _nodes(self, above, k: int):
+        # the generators of arity k whose output is `above` (at the root,
+        # each color in turn), their input colors expected below them
         return [(name, ins) for c in (self.colors if above is None else (above,))
                 for name, (out, ins) in self.spec.gens.items()
-                if out == c and len(ins) <= n]
+                if out == c and len(ins) == k]
 
     def validate(self, t) -> None:
         if t == LEAF:

@@ -13,12 +13,15 @@ solved on integer polynomials truncated at a total degree, over the
 variables a request needs: setting y_c = 0 commutes with composition, so
 the counting series keep only the terminal colors.  One coefficient is
 solved in the box of its type (componentwise), since a tree's type bounds
-its subtrees' types.  The syntactic system is solved degree slice by
-degree slice: the rules of arity >= 2 over the finished slices, then
-arity-1 increments.  The synchronous one sums its layers from the leaves,
-y, g(y), g(g(y)), .., until the whole vector is empty.  The solved
-systems are returned as IntPoly values, which need no sympy; as_sympy()
-gives the sympy expression.
+its subtrees' types.  Both systems read one rule plan from the rule
+counts: the arity-1 rules, the wider rules, and the products f^tau they
+need, each built by first-color split as f_i * f^rest.  The syntactic
+system is solved degree slice by degree slice: the rules of arity >= 2
+over the finished slices, then arity-1 increments.  The synchronous one
+sums its layers from the leaves, y, g(y), g(g(y)), .., until the whole
+vector is empty; each layer forms the plan's products of the one below.
+The solved systems are returned as IntPoly values, which need no sympy;
+as_sympy() gives the sympy expression.
 """
 
 from __future__ import annotations
@@ -138,37 +141,6 @@ def _add(p: dict, q: dict, scale: int = 1) -> dict:
     return p
 
 
-def _compose(p: dict, powers: list, bound: int, box=None) -> dict:
-    """p(q_1, .., q_k) truncated as by `_mul`, where powers[i] = [1, q_i,
-    q_i^2, ..] grows as needed.  Horner's rule over the variables: p =
-    sum over e of q_1^e * p_e(q_2, .., q_k)."""
-    k = len(powers)
-
-    def horner(terms: list, i: int) -> dict:
-        if i == k:
-            return {(0,) * k: sum(c for _, c in terms)}
-        groups: dict = {}
-        for m, c in terms:
-            groups.setdefault(m[i], []).append((m, c))
-        pw = powers[i]
-        out: dict = {}
-        for e, sub in groups.items():
-            while len(pw) <= e:
-                pw.append(_mul(pw[-1], pw[1], bound, box))
-            if pw[e]:
-                _add(out, _mul(pw[e], horner(sub, i + 1), bound, box))
-        return out
-
-    return horner(list(p.items()), 0)
-
-
-def _g_polys(system: BudSystem) -> dict:
-    """g_a as integer polynomials: the rule counts of chi_table."""
-    chi = chi_table(system)
-    return {a: {tau: n for (out, tau), n in chi.items() if out == a}
-            for a in system.colors}
-
-
 # ---------------------------------------------------------------------------
 # the two functional systems, by color type.  Both take `variables`, the
 # colors c whose y_c is kept (the others are set to 0, which commutes with
@@ -182,6 +154,36 @@ def _y(system: BudSystem, color: str, bound: int) -> dict:
     return {unit: 1} if bound >= 1 else {}
 
 
+def _plan(system: BudSystem, bound: int):
+    """The rule plan both systems read, from chi_table: `wide` lists (i,
+    tau, n) for the n rules of output color i and arity 2..bound with
+    input type tau, `linear[i]` lists (j, n) for the n arity-1 rules from
+    color j to color i, and `split` maps each type tau > 1 that a wide rule
+    needs to (i, rest), f^tau = f_i * f^rest with i the first color of
+    tau; each entry comes after the entries it reads."""
+    index = {a: i for i, a in enumerate(system.colors)}
+    wide, linear, split = [], [[] for _ in index], {}
+    for (a, tau), n in chi_table(system).items():
+        if sum(tau) == 1:
+            linear[index[a]].append((tau.index(1), n))
+        elif sum(tau) <= bound:
+            wide.append((index[a], tau, n))
+            chain = []
+            while sum(tau) > 1 and tau not in split:
+                i = next(i for i, e in enumerate(tau) if e)
+                rest = tau[:i] + (tau[i] - 1,) + tau[i + 1:]
+                chain.append((tau, (i, rest)))
+                tau = rest
+            split.update(reversed(chain))
+    return wide, linear, split
+
+
+def _units(system: BudSystem) -> list:
+    """The type of one input of each color, in color order."""
+    k = len(system.colors)
+    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
+
+
 def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
     """{a: f_a} for the fixpoint of f_a = y_a + g_a(f_c1, .., f_ck): the
     treelike expressions by output color and input type, degree slice by
@@ -190,32 +192,12 @@ def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
     arity >= 2 over the finished slices; the arity-1 rules then add
     increments, which vanish within chain + 1 rounds."""
     chain = arity1_chain(system.bud, system.rules, "functional system")
-    colors = system.colors
+    wide, linear, split = _plan(system, bound)
+    colors, units = system.colors, _units(system)
     k = len(colors)
-    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    # slices[tau][d] is slice d of the product of the f_c^tau_c; slices of
-    # a unit tau are those of f_c, and a wider tau is f_c times tau - 1_c,
-    # c its first color
-    slices: dict = {u: [{}] for u in units}
+    # slices[tau][d] is slice d of f^tau; those of a unit are f_c's own
+    slices: dict = {u: [{}] for u in units + list(split)}
     f = [slices[u] for u in units]
-    split: dict = {}
-
-    def product_of(tau: tuple) -> None:
-        if tau not in slices:
-            i = next(i for i, e in enumerate(tau) if e)
-            rest = tau[:i] + (tau[i] - 1,) + tau[i + 1:]
-            slices[tau] = [{}]
-            split[tau] = (i, rest)
-            product_of(rest)
-
-    index = {a: i for i, a in enumerate(colors)}
-    wide, linear = [], [[] for _ in colors]
-    for (a, tau), n in chi_table(system).items():
-        if sum(tau) == 1:
-            linear[index[a]].append((tau.index(1), n))
-        elif sum(tau) <= bound:
-            wide.append((index[a], tau, n))
-            product_of(tau)
     for d in range(1, bound + 1):
         for tau, (i, rest) in split.items():
             acc: dict = {}
@@ -250,15 +232,23 @@ def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
 def _sync_layers(system: BudSystem, bound: int, variables, box=None):
     """L^0_a = y_a, L^(h+1)_a = g_a(L^h_c1, .., L^h_ck), built from the
     leaves: the perfect expressions of height h by output color and input
-    type."""
-    g = _g_polys(system)
-    one = (0,) * len(system.colors)
-    layer = {a: _y(system, a, bound) if a in variables else {}
-             for a in system.colors}
+    type.  Each layer forms the products L^tau of the plan by first-color
+    split, L^tau = L_i * L^rest, then sums the rules over them."""
+    wide, linear, split = _plan(system, bound)
+    colors, units = system.colors, _units(system)
+    layer = [_y(system, a, bound) if a in variables else {} for a in colors]
     while True:
-        yield layer
-        powers = [[{one: 1}, layer[c]] for c in system.colors]
-        layer = {a: _compose(g[a], powers, bound, box) for a in system.colors}
+        yield dict(zip(colors, layer))
+        prod = dict(zip(units, layer))
+        for tau, (i, rest) in split.items():
+            prod[tau] = _mul(layer[i], prod[rest], bound, box)
+        nxt = [{} for _ in colors]
+        for i, tau, n in wide:
+            _add(nxt[i], prod[tau], n)
+        for i, rules in enumerate(linear):
+            for j, n in rules:
+                _add(nxt[i], layer[j], n)
+        layer = nxt
 
 
 def _solve_sync(system: BudSystem, bound: int, variables, box=None) -> dict:
@@ -373,7 +363,9 @@ def _in_y(system: BudSystem, polys: dict) -> dict:
 def g_poly(system: BudSystem) -> dict:
     """Rule-generating polynomials: g_a = sum over rules with output a of
     the product of y_c over the rule inputs c."""
-    return _in_y(system, _g_polys(system))
+    chi = chi_table(system)
+    return _in_y(system, {a: {tau: n for (out, tau), n in chi.items()
+                              if out == a} for a in system.colors})
 
 
 def _solved(system: BudSystem, bound: int, synchronous: bool) -> dict:
@@ -398,6 +390,8 @@ def sync_iterates(system: BudSystem, ell: int, bound: int) -> list:
     """Iterates f^(0)_a = y_a, f^(l)_a = y_a + f^(l-1)_a(g_c1, .., g_ck),
     each truncated at total degree `bound` (but for f^(0)): the partial
     sums of the layers of the synchronous system."""
+    if ell < 0:
+        raise BudgenError("iterate index must be >= 0")
     colors = system.colors
     total: dict = {a: {} for a in colors}
     iterates = []

@@ -245,6 +245,16 @@ def test_loads_accepts_exactly_the_elements(make):
     assert missed <= {("!", "2")}
 
 
+def test_node_rules_name_the_exact_width():
+    # _nodes(above, k) lists only the nodes with exactly k children, so
+    # validating a node asks for its own width and no narrower one
+    assert list(ASchrOperad()._nodes("b", 5)) == [("a", ("a",) * 5)]
+    assert list(ASchrOperad()._nodes(None, 1)) == []
+    assert list(MagOperad()._nodes(None, 3)) == []
+    op = FreeOperad(_binary_ternary_spec())
+    assert list(op._nodes(MONO, 3)) == [("b", (MONO,) * 3)]
+
+
 def test_collection_spec_validation():
     with pytest.raises(BudgenError):
         CollectionSpec([("a(", "1", ("1",))])

@@ -2,7 +2,7 @@ import pytest
 import sympy as sp
 
 import budgen.series as S
-from budgen.core import DivergenceError, MONO
+from budgen.core import BudgenError, DivergenceError, MONO
 from budgen.grammars import cfg_to_bud, parse_cfg
 from budgen.operads import MagOperad
 from budgen.systems import BudSystem, builtin
@@ -221,6 +221,11 @@ def test_solve_systems_at_bound_zero_are_zero(name):
     assert solve_sync_system(system, 0) == zeros
 
 
+def test_sync_iterates_reject_a_negative_index():
+    with pytest.raises(BudgenError, match="iterate index"):
+        sync_iterates(builtin("bbt"), -1, 4)
+
+
 def test_sync_iterates_at_bound_zero():
     # f^(0) = y is the one iterate that is not truncated
     its = sync_iterates(builtin("bbt"), 2, 0)
@@ -246,21 +251,27 @@ def test_colt_tables_serve_smaller_bounds(name):
 
 
 def test_box_tables_give_the_values_of_the_series():
-    # colt_synt_coeff solves only the types componentwise <= alpha; the
-    # table of one type must not answer another, nor the counting series
+    # colt_*_coeff solve only the types componentwise <= alpha; the table
+    # of one type must not answer another, nor the counting series
     bound = 4
-    b2 = builtin("b2")
-    u = S.units_series(b2.bud, bound)
-    table = S.colt_table(S.compose_inverse(S.sub(u, b2.rule_series(bound))))
-    assert len(table) > 10
-    for n in range(bound, 0, -1):
-        for alpha in _types(len(b2.colors), n):
-            for color in b2.colors:
-                assert colt_synt_coeff(b2, color, alpha) == \
-                    table.get((color, alpha), 0), (color, alpha)
-    fresh = builtin("b2")
-    assert lang_counting_series(b2, bound) == lang_counting_series(fresh, bound)
-    assert solve_synt_system(b2, bound) == solve_synt_system(fresh, bound)
+    sides = [(colt_synt_coeff, lang_counting_series, solve_synt_system,
+              lambda u, r: S.compose_inverse(S.sub(u, r))),
+             (colt_sync_coeff, sync_counting_series, solve_sync_system,
+              lambda u, r: S.compose_star(r))]
+    for coeff, counting, solve, middle in sides:
+        for name in ["b2", "b3"]:
+            system = builtin(name)
+            u = S.units_series(system.bud, bound)
+            table = S.colt_table(middle(u, system.rule_series(bound)))
+            assert len(table) > 10
+            for n in range(bound, 0, -1):
+                for alpha in _types(len(system.colors), n):
+                    for color in system.colors:
+                        assert coeff(system, color, alpha) == \
+                            table.get((color, alpha), 0), (name, color, alpha)
+            fresh = builtin(name)
+            assert counting(system, bound) == counting(fresh, bound)
+            assert solve(system, bound) == solve(fresh, bound)
 
 
 def test_box_coefficient_of_b3_at_every_color():
