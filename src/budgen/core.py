@@ -109,7 +109,8 @@ class Operad:
         """Sort key: (arity, canonical serialization), memoized per
         instance (for every element it is asked about), so that elements
         shared by several series or graphs over this operad are
-        serialized once."""
+        serialized once.  The tree grounds also memoize the text of each
+        subtree (`operads.TermOperad`), which new elements share."""
         keys = self._keys
         if keys is None:
             keys = self._keys = {}
@@ -264,12 +265,12 @@ def colorize(op: BudOperad, x):
 
 def type_of(u: Sequence[str], colors: Sequence[str]) -> tuple[int, ...]:
     """Count each declared color in the word u, in declaration order."""
-    counts = {c: 0 for c in colors}
-    for c in u:
-        if c not in counts:
-            raise BudgenError("color %r not declared" % c)
-        counts[c] += 1
-    return tuple(counts[c] for c in colors)
+    alpha = tuple(map(u.count, colors))
+    if sum(alpha) != len(u):
+        for c in u:
+            if c not in colors:
+                raise BudgenError("color %r not declared" % c)
+    return alpha
 
 
 def dumps_type(alpha: Sequence[int]) -> str:

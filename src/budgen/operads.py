@@ -8,8 +8,8 @@ words print as digit strings; Motzkin paths print as U/H/D step strings
 (the empty string is the arity-1 path).
 
 The three tree-shaped operads (magmatic, Schroeder and free) share one
-term core, `TermOperad`: a memoized arity, one leaf walk for grafting,
-the term serialization, and one enumerator and one validator that both
+term core, `TermOperad`: an arity and a text memoized per subtree, one
+leaf walk for grafting, and one enumerator and one validator that both
 follow from the node rule `_nodes(above, k)` each class states once.
 """
 
@@ -38,19 +38,35 @@ UNIT_TAG = "!"
 # term syntax shared by tree-shaped elements
 
 
-def dumps_term(t) -> str:
-    if t == LEAF:
-        return LEAF
-    if t[0] == UNIT_TAG:
-        return UNIT_TAG + t[1]
-    name = t[0]
-    children = t[1:]
-    if not children:
-        return name
-    return "%s(%s)" % (name, ",".join(dumps_term(c) for c in children))
+def dumps_term(t, texts: dict | None = None) -> str:
+    """The text of the term t, built in one post-order walk with an
+    explicit stack, so that a term of any depth prints.  `texts` maps
+    subtrees to their texts and gains every subtree printed on the way;
+    a fresh memo is used when it is None."""
+    if texts is None:
+        texts = {LEAF: LEAF}
+    get = texts.get
+    text = get(t)
+    if text is not None:
+        return text
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if node[0] == UNIT_TAG:
+            text = texts[node] = UNIT_TAG + node[1]
+            stack.pop()
+            continue
+        parts = [get(c) for c in node[1:]]
+        if None in parts:  # print the missing children first
+            stack.extend(c for c, p in zip(node[1:], parts) if p is None)
+        else:
+            text = texts[node] = ("%s(%s)" % (node[0], ",".join(parts))
+                                  if parts else node[0])
+            stack.pop()
+    return text  # the root's, printed last
 
 
-MAX_TERM_DEPTH = 100  # the tree walks recurse once per level
+MAX_TERM_DEPTH = 100  # loads_term and the tree walks recurse per level
 
 
 def loads_term(text: str):
@@ -118,13 +134,17 @@ class TermOperad(Operad):
     which `loads` runs on every parsed term, both follow from it.  A
     subclass may also override `_plant`, which says what a grafted term
     becomes below its new parent.
+
+    Arities and texts are memoized per subtree, per operad: grafting asks
+    for the arity of a subtree at every level, and the composed terms of
+    a series share most of their subtrees.
     """
 
     UNIT = LEAF
 
     def __init__(self):
-        # arity memo: grafting asks for the arity of a subtree at every level
         self._arities = {LEAF: 1}
+        self._texts = {LEAF: LEAF}
 
     def arity(self, x) -> int:
         a = self._arities.get(x)
@@ -196,7 +216,7 @@ class TermOperad(Operad):
             walk(t, None)
 
     def dumps(self, x) -> str:
-        return dumps_term(x)
+        return dumps_term(x, self._texts)
 
     def loads(self, text: str):
         t = loads_term(text)

@@ -201,12 +201,25 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
         rest[j] = (a0 + min(p[0][0] for p in lists.values()),
                    a1 + max(p[-1][0] for p in lists.values()),
                    k0 + min(lists), k1 + max(lists))
-    picks: list = []
+    picks = [None] * m
+    last = m - 1
 
     def assign(j: int, arity: int, k: int, w) -> None:
-        if j == m:
-            x = op._full_compose(y, picks)
-            acc[x] = acc.get(x, 0) + w
+        if j == last:  # the last input takes exactly the nodes left
+            kz = nodes - k
+            items = choices[j].get(kz)
+            if items is None:
+                return
+            if kz:
+                w = w * comb(nodes, kz)
+            for az, z, cz in items:
+                if arity + az > hi:
+                    break
+                if arity + az < lo:
+                    continue
+                picks[j] = z
+                x = op._full_compose(y, picks)
+                acc[x] = acc.get(x, 0) + w * cz
             return
         a0, a1, k0, k1 = rest[j + 1]
         for kz, items in choices[j].items():
@@ -218,9 +231,8 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
                     break
                 if arity + az + a1 < lo:
                     continue
-                picks.append(z)
+                picks[j] = z
                 assign(j + 1, arity + az, k + kz, wk * cz)
-                picks.pop()
 
     assign(0, 0, 0, weight)
 

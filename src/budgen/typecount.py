@@ -97,6 +97,9 @@ class IntPoly:
             parts.append("*".join(factors))
         return " + ".join(parts) or "0"
 
+    def __repr__(self) -> str:
+        return "IntPoly(%r, variables=%r)" % (str(self), self.variables)
+
     def as_sympy(self):
         """The sympy expression of this polynomial; the one place that
         imports sympy."""
@@ -410,6 +413,8 @@ def refined_perfect(bound: int) -> dict:
     monomial prod q_b^(d_b) counts perfect trees with n leaves built by
     repeatedly substituting, at every leaf at once, corollas whose last
     layer uses d_b corollas of arity b.  Returns {n: IntPoly}."""
+    if bound < 1:
+        raise BudgenError("arity bound must be >= 1")
 
     def layers(n: int, b: int):
         # (d_b, .., d_bound) with sum of b' * d_b' = n

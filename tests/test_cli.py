@@ -347,8 +347,9 @@ def test_deeply_nested_term_is_an_input_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_series_too_deep_to_print_is_an_input_error(tmp_path):
-    # the rule is within the nesting limit, but its compositions are not
+def test_series_nested_deeper_than_its_rules_prints(tmp_path):
+    # the rule is within the nesting limit, its compositions are not, and
+    # the printer walks them without recursion
     elem = "b(*,*)"
     for _ in range(99):
         elem = "u(%s)" % elem
@@ -359,10 +360,10 @@ def test_series_too_deep_to_print_is_an_input_error(tmp_path):
             "initial": ["1"], "terminal": ["1"]}
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(data))
-    proc = run_main(["series", "--system", str(path), "--max-arity", "5"])
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: maximum recursion depth exceeded")
-    assert "Traceback" not in proc.stderr
+    proc = run_main(["series", "--system", str(path), "--max-arity", "8"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 626
 
 
 def test_cli_import_does_not_load_sympy():

@@ -126,6 +126,9 @@ def test_type_helpers():
     assert dumps_type((2, 0, 1)) == "2,0,1"
     with pytest.raises(BudgenError):
         type_of(("9",), colors)
+    # the first undeclared color is named
+    with pytest.raises(BudgenError, match="^color 'x' not declared$"):
+        type_of(("1", "x", "y"), ("1", "2"))
 
 
 def test_bud_elements_enumeration():

@@ -37,6 +37,51 @@ def test_term_syntax_round_trip():
         loads_term("c(*,*))")
 
 
+def _dumps_reference(t) -> str:
+    # the term text, printed by plain recursion
+    if t == "*":
+        return "*"
+    if t[0] == "!":
+        return "!" + t[1]
+    if len(t) == 1:
+        return t[0]
+    return "%s(%s)" % (t[0], ",".join(_dumps_reference(c) for c in t[1:]))
+
+
+@pytest.mark.parametrize("make", [
+    MagOperad, ASchrOperad, lambda: FreeOperad(_two_color_spec())],
+    ids=["mag", "aschr", "free-two-color"])
+def test_memoized_printer_matches_the_recursive_one(make):
+    # elements(1) of the free operad are its units !1 and !2; the second
+    # round prints every element again from a warm memo
+    op = make()
+    for _ in range(2):
+        for n in range(1, 6):
+            for x in op.elements(n):
+                text = _dumps_reference(x)
+                assert op.dumps(x) == text
+                assert dumps_term(x) == text
+
+
+def test_printer_memo_is_keyed_by_value():
+    op = MagOperad()
+    x = ("c", ("c", "*", "*"), "*")
+    y = loads_term("c(c(*,*),*)")
+    assert x == y and x is not y and x[1] is not y[1]
+    assert op.dumps(x) == op.dumps(y) == "c(c(*,*),*)"
+    assert op.dumps(y[1]) == "c(*,*)"
+    texts = {}
+    assert dumps_term(x, texts) == "c(c(*,*),*)"
+    assert texts[y[1]] == "c(*,*)"
+
+
+def test_printer_walks_any_depth():
+    t = "*"
+    for _ in range(3000):
+        t = ("u", t)
+    assert dumps_term(t) == "u(" * 3000 + "*" + ")" * 3000
+
+
 # -- magmatic ---------------------------------------------------------------
 
 

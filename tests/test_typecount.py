@@ -140,6 +140,9 @@ def test_refined_perfect_small():
     assert s[2] == q2
     assert s[3] == q3
     assert sp.expand(s[4] - (q2 ** 3 + q4)) == 0
+    for bound in (0, -1):
+        with pytest.raises(BudgenError, match="^arity bound must be >= 1$"):
+            refined_perfect(bound)
 
 
 def test_int_poly_prints_and_compares_without_sympy():
@@ -150,6 +153,9 @@ def test_int_poly_prints_and_compares_without_sympy():
     assert str(refined_perfect(3)[1]) == "1"
     assert str(solve_synt_system(builtin("bbt"), 0)["1"]) == "0"
     assert f["1"].as_sympy() == 3 * Y1 ** 2 + 2 * Y1 * Y2 + Y1
+    assert repr(f["1"]) == (
+        "IntPoly('3*y_1**2 + 2*y_1*y_2 + y_1', variables=('y_1', 'y_2'))")
+    assert repr(refined_perfect(1)) == "{1: IntPoly('1', variables=())}"
 
 
 def test_refined_perfect_counts_perfect_trees():
