@@ -20,13 +20,19 @@ system is solved degree slice by degree slice: the rules of arity >= 2
 over the finished slices, then arity-1 increments.  The synchronous one
 sums its layers from the leaves, y, g(y), g(g(y)), .., until the whole
 vector is empty; each layer forms the plan's products of the one below.
-The solved systems are returned as IntPoly values, which need no sympy;
-as_sympy() gives the sympy expression.
+While solving, a monomial is one packed int (see _packing): its exponents
+are the digits of the int and its total degree the digit above them, so
+a product of monomials is an integer addition and the truncation one
+comparison.  The solved systems are decoded to exponent tuples once, at
+the end, and returned as IntPoly values, which need no sympy; as_sympy()
+gives the sympy expression.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from types import MappingProxyType
 
 from .core import BudgenError, DivergenceError, type_of
@@ -56,8 +62,8 @@ def chi_table(system: BudSystem) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# truncated integer polynomials: dicts from exponent tuples to ints while
-# solving, returned as IntPoly
+# truncated integer polynomials: dicts from packed monomials to ints while
+# solving, returned as IntPoly on exponent tuples
 
 
 class IntPoly:
@@ -121,18 +127,61 @@ class IntPoly:
         return self.as_sympy().free_symbols
 
 
-def _mul(p: dict, q: dict, bound: int, box=None) -> dict:
-    """p * q, dropping monomials of total degree > bound or not <= box."""
+def _packing(k: int, bound: int):
+    """(pack, unpack, top): monomials in k variables of total degree <=
+    bound as single ints, the Kronecker substitution.  Digit c, base bound
+    + 1, holds the exponent of variable c, and the digit at top = base**k
+    holds the total degree, so a product of monomials is a sum of ints and
+    "degree > bound" is the one test m >= (bound + 1) * top.  A digit
+    carries only when an exponent reaches bound + 1, that is on a degree
+    above the bound, which the test drops: every kept monomial unpacks
+    exactly.  A bound below 1 keeps no monomial of positive degree; its
+    base is 2, so that the digits stay defined."""
+    base = max(bound, 1) + 1
+    top = base ** k
+    powers = [base ** c for c in range(k)]
+
+    def pack(m) -> int:
+        return sum(e * w for e, w in zip(m, powers)) + sum(m) * top
+
+    def unpack(m: int) -> tuple:
+        m %= top
+        exponents = []
+        for _ in powers:
+            m, e = divmod(m, base)
+            exponents.append(e)
+        return tuple(exponents)
+
+    return pack, unpack, top
+
+
+def _boxed(pack, box):
+    """The packed monomials <= box componentwise, or None for no box."""
+    if box is None:
+        return None
+    return frozenset(map(pack, itertools.product(*(range(e + 1)
+                                                   for e in box))))
+
+
+def _unpacked(polys, unpack) -> dict:
+    """{a: polynomial} with packed monomials as {a: exponent tuples}."""
+    return {a: {unpack(m): c for m, c in p.items()} for a, p in polys.items()}
+
+
+def _mul(p: dict, q: dict, limit: int, box=None) -> dict:
+    """p * q on packed monomials, dropping those >= limit, (d + 1) * top
+    for a total degree above d, and, given a box of packed monomials,
+    those outside it.  q sorted by key is sorted by degree first, so the
+    row of m1 ends at the first m2 >= limit - m1."""
     out: dict = {}
-    q_items = sorted(((sum(m), m, c) for m, c in q.items()),
-                     key=lambda t: t[0])
+    q_items = sorted(q.items())
     for m1, c1 in p.items():
-        room = bound - sum(m1)
-        for d2, m2, c2 in q_items:
-            if d2 > room:
+        room = limit - m1
+        for m2, c2 in q_items:
+            if m2 >= room:
                 break
-            m = tuple(a + b for a, b in zip(m1, m2))
-            if box is None or all(a <= b for a, b in zip(m, box)):
+            m = m1 + m2
+            if box is None or m in box:
                 out[m] = out.get(m, 0) + c1 * c2
     return out
 
@@ -149,12 +198,6 @@ def _add(p: dict, q: dict, scale: int = 1) -> dict:
 # colors c whose y_c is kept (the others are set to 0, which commutes with
 # composition), and an optional box: a tree's type bounds its subtrees'
 # types componentwise, so the types <= box are solved from types <= box.
-
-
-def _y(system: BudSystem, color: str, bound: int) -> dict:
-    """The variable y_color, truncated at total degree bound."""
-    unit = tuple(1 if c == color else 0 for c in system.colors)
-    return {unit: 1} if bound >= 1 else {}
 
 
 def _plan(system: BudSystem, bound: int):
@@ -198,7 +241,10 @@ def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
     wide, linear, split = _plan(system, bound)
     colors, units = system.colors, _units(system)
     k = len(colors)
-    # slices[tau][d] is slice d of f^tau; those of a unit are f_c's own
+    pack, unpack, top = _packing(k, bound)
+    box = _boxed(pack, box)
+    # slices[tau][d] is slice d of f^tau, on packed monomials; those of a
+    # unit are f_c's own
     slices: dict = {u: [{}] for u in units + list(split)}
     f = [slices[u] for u in units]
     for d in range(1, bound + 1):
@@ -207,9 +253,9 @@ def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
             for j in range(1, d - sum(rest) + 1):
                 p, q = f[i][j], slices[rest][d - j]
                 if p and q:
-                    _add(acc, _mul(p, q, d, box))
+                    _add(acc, _mul(p, q, (d + 1) * top, box))
             slices[tau].append(acc)
-        delta = [{units[i]: 1} if d == 1 and a in variables else {}
+        delta = [{pack(units[i]): 1} if d == 1 and a in variables else {}
                  for i, a in enumerate(colors)]
         for i, tau, n in wide:
             _add(delta[i], slices[tau][d], n)
@@ -228,23 +274,28 @@ def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
             raise DivergenceError("functional system did not stabilize")
         for i in range(k):
             f[i].append(new[i])
-    return {a: {m: c for s in f[i] for m, c in s.items()}
+    return {a: {unpack(m): c for s in f[i] for m, c in s.items()}
             for i, a in enumerate(colors)}
 
 
-def _sync_layers(system: BudSystem, bound: int, variables, box=None):
+def _sync_layers(system: BudSystem, bound: int, variables, packing,
+                 box=None):
     """L^0_a = y_a, L^(h+1)_a = g_a(L^h_c1, .., L^h_ck), built from the
-    leaves: the perfect expressions of height h by output color and input
-    type.  Each layer forms the products L^tau of the plan by first-color
-    split, L^tau = L_i * L^rest, then sums the rules over them."""
+    leaves on the monomials of `packing` (box packed too): the perfect
+    expressions of height h by output color and input type.  Each layer
+    forms the products L^tau of the plan by first-color split, L^tau = L_i
+    * L^rest, then sums the rules over them."""
     wide, linear, split = _plan(system, bound)
     colors, units = system.colors, _units(system)
-    layer = [_y(system, a, bound) if a in variables else {} for a in colors]
+    pack, _, top = packing
+    limit = (bound + 1) * top
+    layer = [{pack(u): 1} if a in variables and bound >= 1 else {}
+             for a, u in zip(colors, units)]
     while True:
         yield dict(zip(colors, layer))
         prod = dict(zip(units, layer))
         for tau, (i, rest) in split.items():
-            prod[tau] = _mul(layer[i], prod[rest], bound, box)
+            prod[tau] = _mul(layer[i], prod[rest], limit, box)
         nxt = [{} for _ in colors]
         for i, tau, n in wide:
             _add(nxt[i], prod[tau], n)
@@ -260,11 +311,13 @@ def _solve_sync(system: BudSystem, bound: int, variables, box=None) -> dict:
     # bound 0 still takes one layer to see the zero truncation
     chain = arity1_chain(system.bud, system.rules, "functional system")
     cap = degree_bound(max(bound, 1), chain) + 2
+    pack, unpack, _ = packing = _packing(len(system.colors), bound)
+    layers = _sync_layers(system, bound, variables, packing,
+                          _boxed(pack, box))
     f: dict = {a: {} for a in system.colors}
-    for layer, _ in zip(_sync_layers(system, bound, variables, box),
-                        range(cap)):
+    for layer, _ in zip(layers, range(cap)):
         if not any(layer.values()):
-            return f
+            return _unpacked(f, unpack)
         for a, p in layer.items():
             _add(f[a], p)
     raise DivergenceError("functional system did not stabilize")
@@ -285,13 +338,18 @@ def _table(system: BudSystem, bound: int, synchronous: bool, variables,
 
 
 def _coeff(system: BudSystem, color: str, alpha, synchronous: bool) -> int:
-    alpha = tuple(alpha)
+    try:
+        alpha = tuple(map(operator.index, alpha))
+    except TypeError:
+        raise BudgenError("type entries must be integers") from None
     if len(alpha) != len(system.colors):
         raise BudgenError("type length must match the color count")
     if color not in system.colors:
         raise BudgenError("unknown color %r" % color)
-    if not any(alpha):
-        return 0  # no element has arity 0, even on a color cycle
+    if not any(alpha) or min(alpha) < 0:
+        # no element has arity 0, even on a color cycle, nor a negative
+        # count of a color
+        return 0
     support = [c for c, e in zip(system.colors, alpha) if e]
     return _table(system, sum(alpha), synchronous, support,
                   alpha)[color].get(alpha, 0)
@@ -396,11 +454,16 @@ def sync_iterates(system: BudSystem, ell: int, bound: int) -> list:
     if ell < 0:
         raise BudgenError("iterate index must be >= 0")
     colors = system.colors
+    _, unpack, _ = packing = _packing(len(colors), bound)
     total: dict = {a: {} for a in colors}
     iterates = []
-    for layer, _ in zip(_sync_layers(system, bound, colors), range(ell + 1)):
-        iterates.append({a: dict(_add(total[a], layer[a])) for a in colors})
-    iterates[0] = {a: _y(system, a, 1) for a in colors}  # not truncated
+    for layer, _ in zip(_sync_layers(system, bound, colors, packing),
+                        range(ell + 1)):
+        for a in colors:
+            _add(total[a], layer[a])
+        iterates.append(_unpacked(total, unpack))
+    # f^(0) = y is not truncated
+    iterates[0] = {a: {u: 1} for a, u in zip(colors, _units(system))}
     return [_in_y(system, f) for f in iterates]
 
 
@@ -412,31 +475,35 @@ def refined_perfect(bound: int) -> dict:
     """Perfect-tree polynomials s_n in q_2..q_n: the coefficient of a
     monomial prod q_b^(d_b) counts perfect trees with n leaves built by
     repeatedly substituting, at every leaf at once, corollas whose last
-    layer uses d_b corollas of arity b.  Returns {n: IntPoly}."""
+    layer uses d_b corollas of arity b.  Returns {n: IntPoly}.
+
+    s_n sums, over the last layers (d_2, .., d_bound) with n leaves, the
+    arrangements of the layer times q^d times s_j, j = sum of d_b the
+    corollas of the layer.  The layers of every n <= bound are built once,
+    by coin change over the arities, and the monomials are packed ints
+    (exponents below bound, so no digit carries) until s_n is returned."""
     if bound < 1:
         raise BudgenError("arity bound must be >= 1")
-
-    def layers(n: int, b: int):
-        # (d_b, .., d_bound) with sum of b' * d_b' = n
-        if n == 0 or b > bound:
-            if n == 0:
-                yield (0,) * (bound + 1 - b)
-            return
-        for d in range(n // b + 1):
-            for rest in layers(n - b * d, b + 1):
-                yield (d,) + rest
-
-    s = {1: {(0,) * (bound - 1): 1}}
+    pack, unpack, _ = _packing(bound - 1, bound)
+    # layers[n]: (packed layer, corolla count) for each last layer (d_2,
+    # .., d_bound) with n leaves, sum of b * d_b = n; coin change over b
+    layers: list = [[] for _ in range(bound + 1)]
+    layers[0].append((0, 0))
+    for b in range(2, bound + 1):
+        q_b = pack([int(c == b) for c in range(2, bound + 1)])
+        for n in range(b, bound + 1):
+            layers[n] += [(v + q_b, j + 1) for v, j in layers[n - b]]
+    s = {1: {0: 1}}
     for n in range(2, bound + 1):
         total: dict = {}
-        for layer in layers(n, 2):
-            weight = multiset_factorial(layer)
-            for m, c in s[sum(layer)].items():
-                key = tuple(a + b for a, b in zip(layer, m))
-                total[key] = total.get(key, 0) + weight * c
+        for v, j in layers[n]:
+            weight = multiset_factorial(unpack(v))
+            for m, c in s[j].items():
+                total[v + m] = total.get(v + m, 0) + weight * c
         s[n] = total
     q = ["q_%d" % b for b in range(2, bound + 1)]
-    return {n: IntPoly(q, poly) for n, poly in s.items()}
+    return {n: IntPoly(q, {unpack(m): c for m, c in poly.items()})
+            for n, poly in s.items()}
 
 
 # ---------------------------------------------------------------------------

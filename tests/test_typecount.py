@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy as sp
 
@@ -7,6 +9,8 @@ from budgen.grammars import cfg_to_bud, parse_cfg
 from budgen.operads import MagOperad
 from budgen.systems import BudSystem, builtin
 from budgen.typecount import (
+    _mul,
+    _packing,
     chi_table,
     colt_sync_coeff,
     colt_synt_coeff,
@@ -164,6 +168,112 @@ def test_refined_perfect_counts_perfect_trees():
     ones = {sym: 1 for expr in s.values() for sym in expr.free_symbols}
     totals = [s[n].as_sympy().subs(ones) for n in range(1, 9)]
     assert totals == [1, 1, 1, 2, 3, 5, 8, 14]
+
+
+def _refined_perfect_reference(bound):
+    """{n: {exponent tuple: count}} of the perfect-tree polynomials, each
+    last layer listed by a recursion over the arities b = 2..bound."""
+    def layers(n, b):
+        # (d_b, .., d_bound) with sum of b' * d_b' = n
+        if n == 0 or b > bound:
+            if n == 0:
+                yield (0,) * (bound + 1 - b)
+            return
+        for d in range(n // b + 1):
+            for rest in layers(n - b * d, b + 1):
+                yield (d,) + rest
+
+    s = {1: {(0,) * (bound - 1): 1}}
+    for n in range(2, bound + 1):
+        total = {}
+        for layer in layers(n, 2):
+            weight = multiset_factorial(layer)
+            for m, c in s[sum(layer)].items():
+                key = tuple(a + b for a, b in zip(layer, m))
+                total[key] = total.get(key, 0) + weight * c
+        s[n] = total
+    return s
+
+
+def test_refined_perfect_matches_the_recursive_layers():
+    for bound in range(1, 13):
+        reference = _refined_perfect_reference(bound)
+        s = refined_perfect(bound)
+        assert s.keys() == reference.keys()
+        for n, poly in s.items():
+            assert dict(poly.terms) == reference[n], (bound, n)
+
+
+def test_refined_perfect_sums_count_the_perfect_btrees():
+    # a second engine: the synchronous language of btree with arities
+    # 2..12 is the perfect trees, counted by the type recurrence
+    s = refined_perfect(12)
+    sums = [sum(s[n].terms.values()) for n in range(1, 13)]
+    counts, method = sync_counting_series(
+        builtin("btree", arities=list(range(2, 13))), 12)
+    assert method == "type-recurrence"
+    assert sums == counts
+    assert sums[:10] == [1, 1, 1, 2, 3, 5, 8, 14, 25, 46]
+
+
+def _mul_reference(p, q, bound, box=None):
+    """p * q on exponent tuples, dropping total degree > bound or not
+    <= box componentwise."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            if sum(m) <= bound and (
+                    box is None or all(a <= b for a, b in zip(m, box))):
+                out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def test_packed_mul_matches_the_tuple_product():
+    rng = random.Random(17)
+    for k in range(1, 5):
+        for bound in range(7):
+            pack, unpack, top = _packing(k, bound)
+            monomials = [m for n in range(bound + 1) for m in _types(k, n)]
+            for m in monomials:
+                assert unpack(pack(m)) == m
+            # y_c**bound in both factors: their square carries a digit
+            high = [tuple(bound * (i == c) for i in range(k))
+                    for c in range(k)]
+            for _ in range(12):
+                p, q = ({m: rng.randint(1, 9)
+                         for m in rng.sample(monomials, min(4, len(monomials)))
+                         + high} for _ in range(2))
+                box = rng.choice([None, tuple(rng.randint(0, bound)
+                                              for _ in range(k))])
+                packed_box = None if box is None else frozenset(
+                    pack(m) for m in monomials
+                    if all(a <= b for a, b in zip(m, box)))
+                d = rng.randint(0, bound)
+                got = _mul({pack(m): c for m, c in p.items()},
+                           {pack(m): c for m, c in q.items()},
+                           (d + 1) * top, packed_box)
+                assert {unpack(m): c for m, c in got.items()} == \
+                    _mul_reference(p, q, d, box), (k, bound, d, box)
+
+
+def test_colt_coefficients_of_types_no_element_has():
+    bbt = builtin("bbt")
+    for coeff in (colt_synt_coeff, colt_sync_coeff):
+        assert coeff(bbt, "1", (-1, 2)) == 0
+        assert coeff(bbt, "1", (3, -1)) == 0
+        assert coeff(bbt, "2", (-1, 2)) == 0
+        with pytest.raises(BudgenError,
+                           match="^type entries must be integers$"):
+            coeff(bbt, "1", (1.0, 2))
+
+
+def test_solve_systems_at_a_negative_bound_are_zero():
+    bbt = builtin("bbt")
+    zeros = {"1": 0, "2": 0}
+    assert solve_synt_system(bbt, -1) == zeros
+    assert solve_sync_system(bbt, -1) == zeros
+    assert sync_iterates(bbt, 2, -1) == [{"1": Y1, "2": Y2}, zeros, zeros]
 
 
 def test_hook_triangle_first_rows():
