@@ -296,14 +296,15 @@ def _parse(options, positional, argv):
     return args
 
 
-def _wrap(text, indent="  ", width=78):
-    """Greedy word wrap of one paragraph to the help pages' 78 columns."""
-    lines = [indent]
+def _wrap(text):
+    """Greedy word wrap of one paragraph, indented by two spaces, to the
+    help pages' 78 columns."""
+    lines = ["  "]
     for word in text.split():
-        if lines[-1] == indent:
+        if lines[-1] == "  ":
             lines[-1] += word
-        elif len(lines[-1]) + 1 + len(word) > width:
-            lines.append(indent + word)
+        elif len(lines[-1]) + 1 + len(word) > 78:
+            lines.append("  " + word)
         else:
             lines[-1] += " " + word
     return lines

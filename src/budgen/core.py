@@ -59,9 +59,6 @@ class Operad:
     def ins(self, x) -> tuple[str, ...]:
         return (self.colors[0],) * self.arity(x)
 
-    def in_color(self, x, i: int) -> str:
-        return self.ins(x)[i - 1]
-
     def unit(self, c: str):
         if c not in self.colors:
             raise BudgenError("unknown color %r" % c)
@@ -106,32 +103,22 @@ class Operad:
         return text
 
     def key(self, x) -> tuple[int, str]:
-        """Sort key: (arity, canonical serialization), memoized per
-        instance (for every element it is asked about), so that elements
-        shared by several series or graphs over this operad are
-        serialized once.  The tree grounds also memoize the text of each
-        subtree (`operads.TermOperad`), which new elements share."""
-        keys = self._keys
-        if keys is None:
-            keys = self._keys = {}
-        k = keys.get(x)
-        if k is None:
-            k = keys[x] = (self.arity(x), self.dumps(x))
-        return k
+        """Sort key: (arity, canonical serialization).  It is not memoized
+        here: the tree grounds answer both from their per-subtree memos,
+        and the other grounds print with `str` or a short format."""
+        return (self.arity(x), self.dumps(x))
 
     def elements(self, n: int) -> Iterable:
         """Per-arity enumeration; only locally finite operads provide it."""
         raise NotImplementedError
 
-    def _check_position(self, x, i: int) -> None:
-        if not 1 <= i <= self.arity(x):
-            raise PositionError(
-                "position %d out of range 1..%d" % (i, self.arity(x)))
-
     def _check_colors(self, x, i: int, y) -> None:
-        self._check_position(x, i)
-        if self.in_color(x, i) != self.out(y):
-            raise self._color_error(i, self.in_color(x, i), y)
+        n = self.arity(x)
+        if not 1 <= i <= n:
+            raise PositionError("position %d out of range 1..%d" % (i, n))
+        color = self.ins(x)[i - 1]
+        if color != self.out(y):
+            raise self._color_error(i, color, y)
 
     def _color_error(self, i: int, color: str, y) -> CompositionError:
         return CompositionError(

@@ -209,9 +209,10 @@ def rtg_to_bud(rtg: Rtg) -> BudSystem:
     return BudSystem(ground, colors, rules, (rtg.start,), rtg.constants)
 
 
-def rtg_bruteforce(rtg: Rtg, max_leaves: int, max_rounds: int = 64):
+def rtg_bruteforce(rtg: Rtg, max_leaves: int):
     """All generated ground terms with <= max_leaves leaves, by a
-    bottom-up fixpoint.  Terms are tuples (name, child, ..)."""
+    bottom-up fixpoint of at most 64 rounds.  Terms are tuples (name,
+    child, ..)."""
     lang: dict[str, set] = {v: set() for v in rtg.variables}
 
     def leaves(t) -> int:
@@ -231,7 +232,7 @@ def rtg_bruteforce(rtg: Rtg, max_leaves: int, max_rounds: int = 64):
         for children in product(*(plug(c) for c in t[1:])):
             yield (name,) + children
 
-    for _ in range(max_rounds):
+    for _ in range(64):
         changed = False
         for lhs, t in rtg.rules:
             for term in plug(t):

@@ -11,6 +11,11 @@ The three tree-shaped operads (magmatic, Schroeder and free) share one
 term core, `TermOperad`: an arity and a text memoized per subtree, one
 leaf walk for grafting, and one enumerator and one validator that both
 follow from the node rule `_nodes(above, k)` each class states once.
+
+The two walks over a finite DAG, the color chains of the arity-1 rules
+(`finitely_factorizing_check`) and the path counts of a derivation graph
+(`systems.DerivGraph`), share one iterative post-order walk,
+`_post_order`, which reports a reachable cycle instead of entering it.
 """
 
 from __future__ import annotations
@@ -348,8 +353,8 @@ class ASchrOperad(TermOperad):
 
     LABELS = ("a", "b")
 
-    def corolla(self, label: str, n: int = 2):
-        return tuple([label] + [LEAF] * n)
+    def corolla(self, label: str):
+        return (label, LEAF, LEAF)
 
     def _plant(self, label, y) -> tuple:
         # merge: the children of y take the place of the leaf
@@ -545,6 +550,34 @@ def hook_count(t) -> int:
     return num
 
 
+def _post_order(succ: dict, roots):
+    """The vertices reachable from `roots` in the graph `succ` (vertex ->
+    iterable of successors), each listed after all of its successors, by
+    one depth-first walk with an explicit stack, so that a chain of any
+    length is walked; None when a cycle is reachable."""
+    order = []
+    done: dict = {}  # vertex -> False while on the stack, True once listed
+    for root in roots:
+        if root in done:
+            continue
+        done[root] = False
+        stack = [(root, iter(succ.get(root, ())))]
+        while stack:
+            v, successors = stack[-1]
+            for w in successors:
+                if w not in done:
+                    done[w] = False
+                    stack.append((w, iter(succ.get(w, ()))))
+                    break
+                if not done[w]:
+                    return None
+            else:
+                stack.pop()
+                done[v] = True
+                order.append(v)
+    return order
+
+
 def finitely_factorizing_check(op: Operad, s1) -> tuple[bool, int]:
     """Check that the arity-1 generators admit no color cycle.
 
@@ -556,33 +589,14 @@ def finitely_factorizing_check(op: Operad, s1) -> tuple[bool, int]:
     for s in s1:
         if op.arity(s) != 1:
             raise BudgenError("expected an arity-1 element")
-        succ.setdefault(op.out(s), set()).add(op.in_color(s, 1))
+        succ.setdefault(op.out(s), set()).add(op.ins(s)[0])
+    order = _post_order(succ, succ)
+    if order is None:
+        return (False, -1)
     longest: dict = {}  # color -> longest chain starting there
-    on_path: set = set()
-
-    def chain(c) -> int:
-        if c in longest:
-            return longest[c]
-        if c in on_path:
-            return -1
-        on_path.add(c)
-        best = 0
-        for d in succ.get(c, ()):
-            k = chain(d)
-            if k < 0:
-                return -1
-            best = max(best, k + 1)
-        on_path.discard(c)
-        longest[c] = best
-        return best
-
-    best = 0
-    for c in succ:
-        k = chain(c)
-        if k < 0:
-            return (False, -1)
-        best = max(best, k)
-    return (True, best)
+    for c in order:
+        longest[c] = max((longest[d] + 1 for d in succ.get(c, ())), default=0)
+    return (True, max(longest.values(), default=0))
 
 
 def arity1_chain(op: Operad, elements, what: str) -> int:
@@ -660,17 +674,13 @@ def all_treelike(op: Operad, gens, max_arity: int, max_degree: int):
     return result
 
 
-def treelike_expressions(op: Operad, gens, x, max_degree: int | None = None):
-    """All syntax trees over `gens` evaluating to x.
-
-    Complete when the arity-1 generators are finitely factorizing and the
-    degree bound is the certified one (the default).
-    """
+def treelike_expressions(op: Operad, gens, x):
+    """All syntax trees over `gens` evaluating to x, up to the certified
+    degree bound, so complete; a color cycle among the arity-1
+    generators raises DivergenceError."""
     gens = list(gens)
-    if max_degree is None:
-        k = arity1_chain(op, gens, "treelike expression enumeration")
-        max_degree = degree_bound(op.arity(x), k)
-    table = all_treelike(op, gens, op.arity(x), max_degree)
+    k = arity1_chain(op, gens, "treelike expression enumeration")
+    table = all_treelike(op, gens, op.arity(x), degree_bound(op.arity(x), k))
     return table.get(x, [])
 
 

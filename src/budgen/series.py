@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import comb
 from operator import itemgetter
 
-from .core import BudgenError, BudOperad, DivergenceError, Operad, type_of
+from .core import (BudgenError, BudOperad, DivergenceError, Operad, colorize,
+                   prune, type_of)
 from .operads import AsOperad, arity1_chain, degree_bound
 
 _first = itemgetter(0)
@@ -72,9 +73,6 @@ class Series:
     def __eq__(self, other):
         return (isinstance(other, Series) and self.bound == other.bound
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("series are not hashable")
 
     def __repr__(self):
         return "Series(bound=%d, %d terms)" % (self.bound, len(self.coeffs))
@@ -377,7 +375,7 @@ def col_series(f: Series) -> tuple[Series, BudOperad]:
     target = BudOperad(AsOperad(), op.colors)
     coeffs: dict = {}
     for x, c in f.coeffs.items():
-        y = (op.out(x), op.arity(x), op.ins(x))
+        y = colorize(op, x)
         coeffs[y] = coeffs.get(y, 0) + c
     return Series(target, f.bound, coeffs), target
 
@@ -389,7 +387,7 @@ def pru_series(f: Series) -> Series:
         raise BudgenError("pruning needs a series over a bud operad")
     coeffs: dict = {}
     for x, c in f.coeffs.items():
-        g = x[1]
+        g = prune(op, x)
         coeffs[g] = coeffs.get(g, 0) + c
     return Series(op.ground, f.bound, coeffs)
 

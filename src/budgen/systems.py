@@ -27,6 +27,7 @@ from .operads import (
     FreeOperad,
     MagOperad,
     MotzOperad,
+    _post_order,
     arity1_chain,
     finitely_factorizing_check,
 )
@@ -43,7 +44,7 @@ class BudSystem:
 
     def __init__(self, ground: Operad, colors: Sequence[str],
                  rules: Iterable, initial: Sequence[str],
-                 terminal: Sequence[str], name: str | None = None):
+                 terminal: Sequence[str]):
         self.ground = ground
         self.bud = BudOperad(ground, colors)
         self.colors = self.bud.colors
@@ -58,13 +59,7 @@ class BudSystem:
                 raise BudgenError("unknown color %r" % c)
         self.initial = tuple(dict.fromkeys(initial))
         self.terminal = tuple(dict.fromkeys(terminal))
-        self.name = name
         self._cache: dict = {}
-
-    @property
-    def monochrome(self) -> bool:
-        return (len(self.colors) == 1 and self.initial == self.colors
-                and self.terminal == self.colors)
 
     def ff_check(self) -> tuple[bool, int]:
         """Acyclicity check and longest chain for the arity-1 rules."""
@@ -186,10 +181,10 @@ class DerivGraph:
         self.system = system
         self.vertices = vertices
         self.edges = edges
-        self._succ: dict = {}
+        self._succ: dict = {}  # x -> {y: multiplicity of x -> y}
         self._paths: dict = {}  # source -> {vertex: path count}
         for (x, y), mult in edges.items():
-            self._succ.setdefault(x, []).append((y, mult))
+            self._succ.setdefault(x, {})[y] = mult
 
     def multipath_count(self, src, dst) -> int:
         """Directed paths from src to dst, counting edge multiplicities."""
@@ -197,31 +192,18 @@ class DerivGraph:
 
     def _paths_from(self, src) -> dict:
         """Path counts from src to every vertex it reaches, in one pass
-        over a topological order; cached per source.  A cycle reachable
-        from src raises BudgenError."""
+        over the reverse post-order of the walk from src; cached per
+        source.  A cycle reachable from src raises BudgenError."""
         table = self._paths.get(src)
         if table is not None:
             return table
-        order = []
-        done = {src: False}  # False while on the DFS stack
-        stack = [(src, iter(self._succ.get(src, ())))]
-        while stack:
-            v, edges = stack[-1]
-            for w, _ in edges:
-                if w not in done:
-                    done[w] = False
-                    stack.append((w, iter(self._succ.get(w, ()))))
-                    break
-                if not done[w]:
-                    raise BudgenError("derivation graph has a cycle")
-            else:
-                stack.pop()
-                done[v] = True
-                order.append(v)
+        order = _post_order(self._succ, (src,))
+        if order is None:
+            raise BudgenError("derivation graph has a cycle")
         table = {src: 1}
         for v in reversed(order):
-            count = table.get(v, 0)
-            for w, mult in self._succ.get(v, ()):
+            count = table[v]
+            for w, mult in self._succ.get(v, {}).items():
                 table[w] = table.get(w, 0) + mult * count
         self._paths[src] = table
         return table
@@ -338,22 +320,20 @@ def _dias_system(gamma: int) -> BudSystem:
     for a in range(1, gamma + 1):
         rules.append((MONO, "0%d" % a, (MONO, MONO)))
         rules.append((MONO, "%d0" % a, (MONO, MONO)))
-    return BudSystem(ground, (MONO,), rules, (MONO,), (MONO,), name="bdias")
+    return BudSystem(ground, (MONO,), rules, (MONO,), (MONO,))
 
 
 def _motz_nohh_system() -> BudSystem:
     ground = MotzOperad()
     rules = [("1", "H", ("2", "2")), ("1", "UD", ("1", "1", "1"))]
-    return BudSystem(ground, ("1", "2"), rules, ("1",), ("1", "2"),
-                     name="motz-nohh")
+    return BudSystem(ground, ("1", "2"), rules, ("1",), ("1", "2"))
 
 
 def _aschr_catalan_system() -> BudSystem:
     ground = ASchrOperad()
     rules = [("1", ground.corolla("a"), ("1", "2")),
              ("2", ground.corolla("b"), ("1", "2"))]
-    return BudSystem(ground, ("1", "2"), rules, ("1",), ("1", "2"),
-                     name="aschr-catalan")
+    return BudSystem(ground, ("1", "2"), rules, ("1",), ("1", "2"))
 
 
 def _unary_binary_system() -> BudSystem:
@@ -363,8 +343,7 @@ def _unary_binary_system() -> BudSystem:
     rules = [("1", ground.corolla("a"), ("2",)),
              ("1", ground.corolla("b"), ("2",)),
              ("2", ground.corolla("c"), ("1", "1"))]
-    return BudSystem(ground, ("1", "2"), rules, ("1",), ("2",),
-                     name="unary-binary")
+    return BudSystem(ground, ("1", "2"), rules, ("1",), ("2",))
 
 
 def _btree_system(arities: Sequence[int]) -> BudSystem:
@@ -375,7 +354,7 @@ def _btree_system(arities: Sequence[int]) -> BudSystem:
                           colors=(MONO,))
     ground = FreeOperad(spec)
     rules = [(MONO, ground.corolla("a%d" % n), (MONO,) * n) for n in arities]
-    return BudSystem(ground, (MONO,), rules, (MONO,), (MONO,), name="btree")
+    return BudSystem(ground, (MONO,), rules, (MONO,), (MONO,))
 
 
 def _bbt_system() -> BudSystem:
@@ -384,7 +363,7 @@ def _bbt_system() -> BudSystem:
     leaf = ground.unit(MONO)
     rules = [("1", c2, ("1", "1")), ("1", c2, ("1", "2")),
              ("1", c2, ("2", "1")), ("2", leaf, ("1",))]
-    return BudSystem(ground, ("1", "2"), rules, ("1",), ("1",), name="bbt")
+    return BudSystem(ground, ("1", "2"), rules, ("1",), ("1",))
 
 
 def _tamari_max_trees_system() -> BudSystem:
@@ -394,8 +373,7 @@ def _tamari_max_trees_system() -> BudSystem:
     rules = [("1", c2, ("1", "1")), ("1", c2, ("2", "1")),
              ("1", c2, ("3", "2")), ("2", leaf, ("1",)),
              ("3", c2, ("2", "1"))]
-    return BudSystem(ground, ("1", "2", "3"), rules, ("1",), ("1",),
-                     name="tamari-max-trees")
+    return BudSystem(ground, ("1", "2", "3"), rules, ("1",), ("1",))
 
 
 def _two_label_binary_ground() -> FreeOperad:
@@ -412,8 +390,7 @@ def _tamari_balanced_intervals_system() -> BudSystem:
     rules = [("1", a, ("1", "1")), ("1", a, ("1", "2")), ("1", a, ("2", "1")),
              ("1", b, ("3", "2")), ("2", unit, ("1",)),
              ("3", a, ("1", "1")), ("3", a, ("1", "2"))]
-    return BudSystem(ground, ("1", "2", "3"), rules, ("1",), ("1",),
-                     name="tamari-balanced-intervals")
+    return BudSystem(ground, ("1", "2", "3"), rules, ("1",), ("1",))
 
 
 def _tamari_max_intervals_system() -> BudSystem:
@@ -426,20 +403,19 @@ def _tamari_max_intervals_system() -> BudSystem:
              ("3", a, ("1", "1")), ("3", a, ("1", "2")),
              ("4", b, ("3", "2")), ("4", a, ("5", "2")),
              ("5", a, ("2", "4")), ("5", b, ("3", "2"))]
-    return BudSystem(ground, ("1", "2", "3", "4", "5"), rules, ("1",), ("1",),
-                     name="tamari-max-intervals")
+    return BudSystem(ground, ("1", "2", "3", "4", "5"), rules, ("1",), ("1",))
 
 
 def _hook_mag_system() -> BudSystem:
     ground = MagOperad()
     rules = [(MONO, ground.corolla(), (MONO, MONO))]
-    return BudSystem(ground, (MONO,), rules, (MONO,), (MONO,), name="hook-mag")
+    return BudSystem(ground, (MONO,), rules, (MONO,), (MONO,))
 
 
 def _hook_motz_system() -> BudSystem:
     ground = MotzOperad()
     rules = [(MONO, "H", (MONO, MONO)), (MONO, "UD", (MONO, MONO, MONO))]
-    return BudSystem(ground, (MONO,), rules, (MONO,), (MONO,), name="hook-motz")
+    return BudSystem(ground, (MONO,), rules, (MONO,), (MONO,))
 
 
 _BUILTIN_ALIASES = {

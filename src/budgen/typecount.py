@@ -326,14 +326,23 @@ def _solve_sync(system: BudSystem, bound: int, variables, box=None) -> dict:
 def _table(system: BudSystem, bound: int, synchronous: bool, variables,
            box=None) -> dict:
     """{a: f_a} at a bound of at least `bound`, exact on the types
-    supported on `variables` and inside the box, cached per system; a
-    table solved at a larger bound serves every smaller one."""
+    supported on `variables` and inside the box, cached per system.
+    Without a box, a table solved at a larger bound serves every smaller
+    one.  Of the box tables only the latest is kept, per kind: it serves
+    every type inside its box (whose support and degree it covers), so
+    a sweep over many types keeps one table."""
     solve = _solve_sync if synchronous else _solve_synt
-    key = ("colt_sync" if synchronous else "colt_synt",
-           frozenset(variables), box)
+    kind = "colt_sync" if synchronous else "colt_synt"
+    if box is not None:
+        hit = system._cache.get((kind, "box"))
+        if hit is None or any(a > b for a, b in zip(box, hit[0])):
+            hit = system._cache[kind, "box"] = (
+                box, solve(system, bound, frozenset(variables), box))
+        return hit[1]
+    key = (kind, frozenset(variables))
     hit = system._cache.get(key)
     if hit is None or hit[0] < bound:
-        hit = system._cache[key] = (bound, solve(system, bound, key[1], box))
+        hit = system._cache[key] = (bound, solve(system, bound, key[1]))
     return hit[1]
 
 

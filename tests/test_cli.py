@@ -241,6 +241,21 @@ def test_series_on_a_color_cycle_exits_2(tmp_path, kind, run_ok):
     assert proc.stdout == ""
 
 
+def test_graph_of_a_long_unit_chain(tmp_path, run_ok):
+    # 1,500 chained variables: the cycle check and the path walk keep
+    # their own stacks, so nothing recurses once per variable
+    grammar = tmp_path / "chain.cfg"
+    grammar.write_text("".join("A%d -> A%d\n" % (i, i + 1)
+                               for i in range(1, 1500)) + "A1500 -> a\n")
+    system = tmp_path / "chain.json"
+    system.write_text(run_ok(["compile", str(grammar)]).output)
+    proc = run_main(["graph", "--system", str(system), "--max-arity", "1",
+                     "--format", "text"])
+    assert proc.returncode == 0
+    assert len(proc.stdout.splitlines()) == 1500
+    assert proc.stderr == ""
+
+
 TWO_PARSES = """S -> A B
 S -> C D
 A -> a a a

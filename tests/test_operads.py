@@ -429,6 +429,18 @@ def test_finitely_factorizing_check_cases(edges, expected):
         finitely_factorizing_check(op, rules + [binary])
 
 
+def test_finitely_factorizing_check_on_a_long_chain():
+    # one arity-1 rule per link of a 1,500-color chain: the walk keeps its
+    # own stack, so no Python frame is spent per color
+    colors = [str(i) for i in range(1500)]
+    op = BudOperad(MagOperad(), colors)
+    leaf = MagOperad().unit(MONO)
+    chain = [op.element(a, leaf, (b,)) for a, b in zip(colors, colors[1:])]
+    assert finitely_factorizing_check(op, chain) == (True, 1499)
+    closed = chain + [op.element(colors[-1], leaf, (colors[0],))]
+    assert finitely_factorizing_check(op, closed) == (False, -1)
+
+
 def test_degree_bound():
     assert degree_bound(4, 0) == 3
     assert degree_bound(4, 1) == 10

@@ -52,6 +52,11 @@ def test_series_dumps_orders_by_arity_then_serialization():
     assert S.Series(BUD, 3, {}).dumps() == ""
 
 
+def test_series_are_not_hashable():
+    with pytest.raises(TypeError):
+        hash(S.characteristic(AS, [2], 3))
+
+
 def test_linear_operations():
     f = S.characteristic(AS, [1, 2], 4)
     g = S.characteristic(AS, [2, 3], 4)

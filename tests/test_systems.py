@@ -2,6 +2,7 @@ import pytest
 
 import budgen.series as S
 from budgen.core import MONO, AsOperad, BudgenError, BudOperad, DivergenceError
+from budgen.grammars import cfg_to_bud, parse_cfg
 from budgen.operads import ASchrOperad, DiasOperad, MagOperad, MotzOperad
 from budgen.systems import (
     BUILTIN_NAMES,
@@ -13,6 +14,7 @@ from budgen.systems import (
     system_dumps,
     system_from_json,
     system_loads,
+    system_to_json,
 )
 
 
@@ -30,8 +32,12 @@ def test_builtin_names_construct():
 
 
 def test_builtin_aliases():
-    assert builtin("bp").name == builtin("motz-nohh").name
-    assert builtin("b1").name == "tamari-max-trees"
+    assert (system_to_json(builtin("bp"))
+            == system_to_json(builtin("motz-nohh")))
+    assert (system_to_json(builtin("b1"))
+            == system_to_json(builtin("tamari-max-trees")))
+    assert (system_to_json(builtin("b1"))
+            != system_to_json(builtin("tamari-balanced-intervals")))
     with pytest.raises(BudgenError):
         builtin("nosuch")
     with pytest.raises(BudgenError):
@@ -283,6 +289,17 @@ def test_multipath_count_from_every_source():
     # counted after every other source's table is cached
     for x, c in bd.hook_series(4).coeffs.items():
         assert graph.multipath_count(src, x) == c
+
+
+def test_multipath_count_along_a_long_unit_chain():
+    # A1 -> A2, .., A1500 -> a: one derivation, 1,500 steps deep
+    cfg = parse_cfg("".join("A%d -> A%d\n" % (i, i + 1)
+                            for i in range(1, 1500)) + "A1500 -> a\n")
+    system = cfg_to_bud(cfg)
+    graph = system.derivation_graph(1)
+    assert len(graph.vertices) == 1501  # the unit of A1 and one per step
+    finished = system.bud.element("A1", 1, ("a",))
+    assert graph.multipath_count(system.bud.unit("A1"), finished) == 1
 
 
 def _two_color_json():

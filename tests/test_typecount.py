@@ -390,6 +390,23 @@ def test_box_tables_give_the_values_of_the_series():
             assert solve(system, bound) == solve(fresh, bound)
 
 
+def test_a_sweep_over_types_keeps_one_box_table_per_kind():
+    # every type of b3 with entries <= 3 and degree <= 6, each color asked
+    types = [alpha for n in range(1, 7) for alpha in _types(5, n)
+             if max(alpha) <= 3]
+    assert len(types) == 356
+    for coeff in (colt_synt_coeff, colt_sync_coeff):
+        swept = builtin("b3")
+        values = {(color, alpha): coeff(swept, color, alpha)
+                  for alpha in types for color in swept.colors}
+        # the rule counts, the rule plan and one box table
+        assert len(swept._cache) <= 3
+        for alpha in types:
+            fresh = builtin("b3")
+            for color in fresh.colors:
+                assert values[color, alpha] == coeff(fresh, color, alpha)
+
+
 def test_box_coefficient_of_b3_at_every_color():
     # a type that uses every color solves only the types below it
     assert colt_synt_coeff(builtin("b3"), "1", (2, 2, 2, 2, 2)) == 8_774_640
