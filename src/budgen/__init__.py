@@ -51,6 +51,7 @@ from .series import (
     pre_lie,
     pre_lie_power,
     pre_lie_star,
+    pre_lie_star_and_inverse,
     pru_series,
     scalar_product,
     scale,

@@ -5,9 +5,13 @@ Coefficients are exact scalars: `int` when the inputs are integral, and
 works).  Every operation takes or propagates an arity bound N:
 coefficients at arity <= N are exact and higher arities are absent.  The
 stars and the composition inverse are built bottom-up from the units of
-the input colors: the stars level by level (node count for pre-Lie,
-height for composition), the inverse arity slice by arity slice.  All
-stop within a certified cap derived from the longest arity-1 chain.
+the input colors, in two gradings: arity slices for both tree sums, and
+height for the composition star.  The tree sum `_graded_tree_sum`
+weighs each f-tree by its coefficient product for the inverse of u - f;
+for the pre-Lie star its terms also carry their node counts and the
+product times the increasing labelings, so that one run yields both
+series (`pre_lie_star_and_inverse`).  All stop within a certified cap
+derived from the longest arity-1 chain.
 """
 
 from __future__ import annotations
@@ -57,7 +61,9 @@ class Series:
         f = cls.__new__(cls)
         f.operad = operad
         f.bound = bound
-        f.coeffs = {x: c for x, c in coeffs.items() if c != 0}
+        if 0 in coeffs.values():
+            coeffs = {x: c for x, c in coeffs.items() if c != 0}
+        f.coeffs = coeffs
         f._pooled = None
         return f
 
@@ -137,14 +143,12 @@ def pre_lie(f: Series, g: Series) -> Series:
     for y, cy in f.coeffs.items():
         room = f.bound + 1 - op.arity(y)  # the largest arity of z
         for i, c in enumerate(op.ins(y), 1):
-            pool = pools.get(c)
-            if pool is None:
-                continue
-            for nz, z, cz in pool[0]:
+            for nz, rows in pools.get(c, {}).items():
                 if nz > room:
-                    break
-                x = op._compose(y, i, z)
-                coeffs[x] = coeffs.get(x, 0) + cy * cz
+                    continue
+                for z, cz in rows:
+                    x = op._compose(y, i, z)
+                    coeffs[x] = coeffs.get(x, 0) + cy * cz
     return Series._unchecked(op, f.bound, coeffs)
 
 
@@ -159,19 +163,24 @@ def compose_prod(f: Series, g: Series) -> Series:
     return Series._unchecked(op, f.bound, coeffs)
 
 
-def _pools(op: Operad, items, nodes: int = 0, pools=None,
-           arity: int | None = None) -> dict:
-    """pools[out color][nodes] += items as (arity, elem, coeff), by arity.
-    `arity` is the arity of every item, when the caller knows it: the
-    items then keep their order, and a pool stays sorted if its earlier
-    items have smaller arities."""
+def _pools(op: Operad, rows, pools=None, arity: int | None = None) -> dict:
+    """pools[out color][arity] += rows, each (elem, coefficient); a
+    labeled coefficient is {nodes: [product, labeled product]}.  `arity`
+    is the arity of every row, when the caller knows it."""
     pools = {} if pools is None else pools
-    if arity is None:
-        rows = sorted(((op.arity(z), z, cz) for z, cz in items), key=_first)
-    else:
-        rows = [(arity, z, cz) for z, cz in items]
+    out, arity_of = op.out, op.arity
     for row in rows:
-        pools.setdefault(op.out(row[1]), {}).setdefault(nodes, []).append(row)
+        z = row[0]
+        c = out(z)
+        buckets = pools.get(c)
+        if buckets is None:
+            buckets = pools[c] = {}
+        a = arity_of(z) if arity is None else arity
+        bucket = buckets.get(a)
+        if bucket is None:
+            buckets[a] = [row]
+        else:
+            bucket.append(row)
     return pools
 
 
@@ -184,76 +193,91 @@ def _pools_of(g: Series) -> dict:
 
 
 def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
-                acc: dict, nodes: int = 0) -> None:
+                acc: dict, labeled: bool = False) -> None:
     """Add weight * (y composed with one pick per input) into acc, for
-    every pick of total arity in lo..hi and total node count `nodes`; an
-    input of color c picks from pools[c] (see `_pools`), and picks of
-    k_1..k_m nodes weigh multinomial(nodes; k_1..k_m)."""
+    every pick of total arity in lo..hi; an input of color c picks from
+    pools[c] (see `_pools`).
+
+    Labeled, the coefficients of the picks and of the results are
+    {nodes: [product, labeled product]} (see `_graft_weights`), and y
+    adds one node, its root, with both products weighted by `weight`."""
     choices = [pools.get(c) for c in op.ins(y)]
     if not all(choices):
         return
     m = len(choices)
-    rest = [(0, 0, 0, 0)] * (m + 1)  # min/max arity and nodes of j..m-1
+    rest = [(0, 0)] * (m + 1)  # min and max total arity of picks j..m-1
     for j in range(m - 1, -1, -1):
-        lists, (a0, a1, k0, k1) = choices[j], rest[j + 1]
-        rest[j] = (a0 + min(p[0][0] for p in lists.values()),
-                   a1 + max(p[-1][0] for p in lists.values()),
-                   k0 + min(lists), k1 + max(lists))
+        a0, a1 = rest[j + 1]
+        rest[j] = (a0 + min(choices[j]), a1 + max(choices[j]))
     picks = [None] * m
     last = m - 1
 
-    def assign(j: int, arity: int, k: int, w) -> None:
-        if j == last:  # the last input takes exactly the nodes left
-            kz = nodes - k
-            items = choices[j].get(kz)
-            if items is None:
-                return
-            if kz:
-                w = w * comb(nodes, kz)
-            for az, z, cz in items:
-                if arity + az > hi:
-                    break
-                if arity + az < lo:
-                    continue
-                picks[j] = z
-                x = op._full_compose(y, picks)
-                acc[x] = acc.get(x, 0) + w * cz
-            return
-        a0, a1, k0, k1 = rest[j + 1]
-        for kz, items in choices[j].items():
-            if not nodes - k1 <= k + kz <= nodes - k0:
+    def assign(j: int, arity: int, w) -> None:
+        buckets = choices[j]
+        a0, a1 = rest[j + 1]
+        for a in range(max(lo - arity - a1, 1), hi - arity - a0 + 1):
+            rows = buckets.get(a)
+            if rows is None:
                 continue
-            wk = w * comb(k + kz, kz) if kz else w
-            for az, z, cz in items:
-                if arity + az + a0 > hi:
-                    break
-                if arity + az + a1 < lo:
-                    continue
+            for z, cz in rows:
                 picks[j] = z
-                assign(j + 1, arity + az, k + kz, wk * cz)
+                if j < last:
+                    assign(j + 1, arity + a,
+                           _graft_weights(w, cz) if labeled else w * cz)
+                    continue
+                x = op._full_compose(y, picks)
+                if labeled:
+                    _graft_weights(w, cz, acc.setdefault(x, {}), 1)
+                else:
+                    acc[x] = acc.get(x, 0) + w * cz
 
-    assign(0, 0, 0, weight)
+    assign(0, 0, {0: [weight, weight]} if labeled else weight)
+
+
+def _graft_weights(w: dict, wz: dict, out: dict | None = None,
+                   root: int = 0) -> dict:
+    """Add to `out` the labeled weights of the picks so far, w, combined
+    with those of one more pick, wz: all map a node count to [product,
+    labeled product].  The node counts add, plus `root` (1 for the root
+    of a finished tree); the products multiply, and the labeled products
+    also by the binomial that interleaves the labels of the new pick
+    with those of the picks so far, so that picks of k_1..k_m nodes
+    weigh multinomial(k_1 + .. + k_m; k_1..k_m)."""
+    out = {} if out is None else out
+    for k, (p, h) in w.items():
+        for kz, (pz, hz) in wz.items():
+            key = k + kz + root
+            pp, hh = p * pz, h * hz * comb(k + kz, kz)
+            cell = out.get(key)
+            if cell is None:
+                out[key] = [pp, hh]
+            else:
+                cell[0] += pp
+                cell[1] += hh
+    return out
+
+
+_NO_PICK = {0: [1, 1]}  # the labeled weight of no picks
 
 
 def pre_lie_star(f: Series, inputs=None) -> Series:
     """Unique solution of x = u + x <- f, truncated at the bound of f and
-    composed on the right with the units of `inputs` (default: all), by
-    node count: a coefficient sums the increasing labelings of f-trees."""
+    composed on the right with the units of `inputs` (default: all): a
+    coefficient sums the increasing labelings of f-trees."""
+    return pre_lie_star_and_inverse(f, inputs)[0]
+
+
+def pre_lie_star_and_inverse(f: Series, inputs=None) -> tuple[Series, Series]:
+    """(pre_lie_star(f, inputs), compose_inverse(u - f, inputs)) from one
+    run over the f-trees: the inverse of u - f weighs a tree by the
+    product of its coefficients in f, and the star by that product times
+    the tree's increasing labelings."""
     op = f.operad
-    top = degree_bound(f.bound, arity1_chain(op, f.coeffs, "pre-Lie star"))
-    coeffs, pools = {}, {}
-    level = units_series(op, f.bound, inputs).coeffs
-    for k in range(top + 1):  # levels in between may be empty
-        for x, c in level.items():
-            coeffs[x] = coeffs.get(x, 0) + c
-        _pools(op, level.items(), k, pools)
-        level = {}
-        for y, cy in f.coeffs.items():
-            _substitute(op, y, cy, pools, 1, f.bound, level, k)
-        level = {x: c for x, c in level.items() if c != 0}
-    if level:
-        raise DivergenceError("pre-Lie star did not stop at %d nodes" % top)
-    return Series._unchecked(op, f.bound, coeffs)
+    chain = arity1_chain(op, f.coeffs, "pre-Lie star")
+    star, inverse = _graded_tree_sum(op, f.coeffs, f.bound, chain, inputs,
+                                     labeled=True)
+    return (Series._unchecked(op, f.bound, star),
+            Series._unchecked(op, f.bound, inverse))
 
 
 def compose_star(f: Series, inputs=None) -> Series:
@@ -317,8 +341,11 @@ def compose_inverse(f: Series, inputs=None) -> Series:
         weights[x] = _divide(-c, denom)
     chain = arity1_chain(op, weights, "composition inverse")
     current = _graded_tree_sum(op, weights, f.bound, chain, inputs)
-    return Series._unchecked(op, f.bound, {x: _divide(c, unit_coeff[op.out(x)])
-                                           for x, c in current.items()})
+    # dividing by the int 1 would change neither a value nor its type
+    if any(type(c) is not int or c != 1 for c in unit_coeff.values()):
+        current = {x: _divide(c, unit_coeff[op.out(x)])
+                   for x, c in current.items()}
+    return Series._unchecked(op, f.bound, current)
 
 
 def _divide(c, d):
@@ -332,37 +359,81 @@ def _divide(c, d):
 
 
 def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
-                     inputs=None) -> dict:
-    """The coefficients of the solution of V = u + W (.) V, composed on
-    the right with the units of `inputs`, arity slice by arity slice.  Slice n starts from those
-    units (n = 1) and the roots of arity >= 2 over the finished
-    slices; the terms with an arity-1 root are then added by increments,
-    which the finitely-factorizing chain bound makes vanish within
-    chain + 1 rounds."""
-    w1 = [(y, cy) for y, cy in weights.items() if op.arity(y) == 1]
-    wide = [(y, cy) for y, cy in weights.items() if op.arity(y) > 1]
+                     inputs=None, labeled: bool = False):
+    """The sums over the trees of V = u + W (.) V, composed on the right
+    with the units of `inputs`, arity slice by arity slice: {x: sum of
+    the weight products of the trees of x}; labeled, the pair of {x: sum
+    of weight product * increasing labelings} and that plain dict.
+
+    Slice n starts from those units (n = 1) and the roots of arity >= 2
+    over the finished slices; the terms with an arity-1 root are then
+    added by increments, each from the terms the last one added and
+    only by the arity-1 weights of their output colors, which the
+    finitely-factorizing chain bound makes vanish within chain + 1
+    rounds.  Labeled terms are {x: {nodes: [product, labeled
+    product]}} (see `_substitute`)."""
+    unary: dict = {}  # input color -> the arity-1 weights
+    wide = []
+    for y, cy in weights.items():
+        if op.arity(y) == 1:
+            unary.setdefault(op.ins(y)[0], []).append((y, cy))
+        else:
+            wide.append((y, cy))
+    out, compose = op.out, op._compose
     pools: dict = {}  # the finished slices
-    v_coeffs: dict = {}
+    sums: dict = {}  # x -> sum of the weight products
+    labelings: dict = {}  # x -> sum of weight product * labelings
     for n in range(1, bound + 1):
         delta = units_series(op, bound, inputs).coeffs if n == 1 else {}
+        if labeled:
+            delta = {x: {0: [1, 1]} for x in delta}
         for y, cy in wide:
-            _substitute(op, y, cy, pools, n, n, delta)
+            _substitute(op, y, cy, pools, n, n, delta, labeled)
         terms: dict = {}
         for _ in range(chain + 2):
             if not delta:
                 break
-            for x, c in delta.items():
-                terms[x] = terms.get(x, 0) + c
-            delta_pools = _pools(op, delta.items(), arity=n)
-            delta = {}
-            for y, cy in w1:
-                _substitute(op, y, cy, delta_pools, n, n, delta)
+            if not terms:
+                terms = delta
+            elif labeled:
+                for x, by_nodes in delta.items():
+                    known = terms.setdefault(x, by_nodes)
+                    if known is not by_nodes:
+                        _graft_weights(_NO_PICK, by_nodes, known)
+            else:
+                for x, c in delta.items():
+                    terms[x] = terms.get(x, 0) + c
+            last, delta = delta, {}
+            if not unary:
+                continue
+            for z, cz in last.items():
+                for y, cy in unary.get(out(z), ()):
+                    x = compose(y, 1, z)
+                    if labeled:
+                        _graft_weights({0: [cy, cy]}, cz,
+                                       delta.setdefault(x, {}), 1)
+                    else:
+                        delta[x] = delta.get(x, 0) + cy * cz
         else:
-            raise DivergenceError("composition inverse did not stabilize")
-        terms = {x: c for x, c in terms.items() if c != 0}
-        v_coeffs.update(terms)
-        _pools(op, terms.items(), 0, pools, n)
-    return v_coeffs
+            raise DivergenceError("%s did not stabilize"
+                                  % ("pre-Lie star" if labeled
+                                     else "composition inverse"))
+        if not labeled:
+            rows = [(x, c) for x, c in terms.items() if c != 0]
+            _pools(op, rows, pools, n)
+            sums.update(rows)
+            continue
+        _pools(op, terms.items(), pools, n)
+        for x, by_nodes in terms.items():
+            p_sum = h_sum = 0
+            for p, h in by_nodes.values():
+                p_sum += p
+                h_sum += h
+            if p_sum != 0:
+                sums[x] = p_sum
+            if h_sum != 0:
+                labelings[x] = h_sum
+    return (labelings, sums) if labeled else sums
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,15 @@ class BudSystem:
         return self._cache[key]
 
     def hook_series(self, bound: int) -> S.Series:
-        return self._series("hook", bound, S.pre_lie_star)
+        """i (.) r^{<-*} (.) t.  Its run yields the syntactic series of
+        the same bound too, which is cached unless it is already."""
+        key = ("hook", bound)
+        if key not in self._cache:
+            hook, synt = S.pre_lie_star_and_inverse(self.rule_series(bound),
+                                                    self.terminal)
+            self._cache[key] = self._filtered(hook, bound)
+            self._cache.setdefault(("synt", bound), self._filtered(synt, bound))
+        return self._cache[key]
 
     def synt_series(self, bound: int) -> S.Series:
         return self._series("synt", bound, lambda r, t: S.compose_inverse(

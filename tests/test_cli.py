@@ -241,18 +241,35 @@ def test_series_on_a_color_cycle_exits_2(tmp_path, kind, run_ok):
     assert proc.stdout == ""
 
 
-def test_graph_of_a_long_unit_chain(tmp_path, run_ok):
-    # 1,500 chained variables: the cycle check and the path walk keep
-    # their own stacks, so nothing recurses once per variable
+@pytest.fixture
+def unit_chain(tmp_path, run_ok):
+    """A system file of 1,500 chained variables, A1 -> A2, .., A1500 -> a."""
     grammar = tmp_path / "chain.cfg"
     grammar.write_text("".join("A%d -> A%d\n" % (i, i + 1)
                                for i in range(1, 1500)) + "A1500 -> a\n")
     system = tmp_path / "chain.json"
     system.write_text(run_ok(["compile", str(grammar)]).output)
-    proc = run_main(["graph", "--system", str(system), "--max-arity", "1",
+    return system
+
+
+def test_graph_of_a_long_unit_chain(unit_chain):
+    # the cycle check and the path walk keep their own stacks, so
+    # nothing recurses once per variable
+    proc = run_main(["graph", "--system", str(unit_chain), "--max-arity", "1",
                      "--format", "text"])
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 1500
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("kind", ["synt", "hook"])
+def test_series_of_a_long_unit_chain(unit_chain, kind):
+    # an increment round composes only the arity-1 rules whose input
+    # color gained terms in the round before: one rule per round here
+    proc = run_main(["series", "--system", str(unit_chain), "--kind", kind,
+                     "--max-arity", "1"])
+    assert proc.returncode == 0
+    assert proc.stdout == "1 * A1:1:a\n"
     assert proc.stderr == ""
 
 

@@ -3,7 +3,10 @@ brute-force syntax-tree oracle `all_treelike`, the type recurrences
 (coefficients and counting series) against the colt pushforward and the
 per-arity sums of the series, the bounded successors and derivation
 graphs against composition references written here, and the hook and
-sync coefficients against path counts in the derivation graphs.
+sync coefficients against path counts in the derivation graphs.  With
+rule coefficients other than 1, both readouts of one labeled run (the
+pre-Lie star and the composition inverse) are checked against the
+syntax trees weighted by their coefficient products.
 
 The systems have 1-3 colors over AsOperad, MagOperad or a random
 FreeOperad signature, arity-1 rules only from a lower to a higher color
@@ -11,6 +14,7 @@ FreeOperad signature, arity-1 rules only from a lower to a higher color
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -22,6 +26,7 @@ from budgen.operads import (
     CollectionSpec,
     FreeOperad,
     MagOperad,
+    UNIT_TAG,
     all_treelike,
     degree_bound,
     hook_count,
@@ -140,6 +145,64 @@ def test_series_of_random_systems_match_the_oracles(case):
             key = (color, alpha)
             assert colt_synt_coeff(system, color, alpha) == synt_table.get(key, 0)
             assert colt_sync_coeff(system, color, alpha) == sync_table.get(key, 0)
+
+
+def _tree_weight(t, coeffs: dict):
+    """The product of the coefficients of the rules at the nodes of the
+    syntax tree t."""
+    if t[0] == UNIT_TAG:
+        return 1
+    weight = coeffs[t[1]]
+    for child in t[2]:
+        weight = weight * _tree_weight(child, coeffs)
+    return weight
+
+
+SCALARS = (3, -2, Fraction(2, 3))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(random_systems(), st.integers(0, len(SCALARS)))
+def test_one_labeled_run_weighs_trees_like_the_oracle(case, pick):
+    # the rules scaled by one scalar, or (pick == len(SCALARS)) each by
+    # the next scalar in turn: the hook readout sums weight * hook count
+    # over the syntax trees of an element, the synt readout the weights
+    system, bound = case
+    op = system.bud
+    gens = [g for g in system.rules if op.arity(g) <= bound]
+    coeffs = {g: SCALARS[pick] if pick < len(SCALARS)
+              else SCALARS[i % len(SCALARS)] for i, g in enumerate(gens)}
+    f = S.Series(op, bound, coeffs)
+    hook, synt = S.pre_lie_star_and_inverse(f)
+    table = all_treelike(op, gens, bound,
+                         degree_bound(bound, system.ff_check()[1]))
+    for x in set(table) | hook.support() | synt.support():
+        trees = table.get(x, [])
+        assert synt.coeff(x) == sum(_tree_weight(t, coeffs) for t in trees)
+        assert hook.coeff(x) == sum(_tree_weight(t, coeffs) * hook_count(t)
+                                    for t in trees)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(random_systems())
+def test_hook_and_synt_of_random_systems_in_either_order(case):
+    # hook_series caches the syntactic series of its run too: in either
+    # order, both equal what a fresh system computes alone
+    system, bound = case
+
+    def fresh():
+        return BudSystem(system.ground, system.colors, system.rules,
+                         system.initial, system.terminal)
+
+    hook_first, synt_first = fresh(), fresh()
+    hook_first.hook_series(bound)
+    synt_first.synt_series(bound)
+    for kind in ("hook", "synt"):
+        alone = getattr(fresh(), kind + "_series")(bound)
+        for first in (hook_first, synt_first):
+            got = getattr(first, kind + "_series")(bound)
+            assert got == alone
+            assert got.dumps() == alone.dumps()
 
 
 def _reference_successors(system, x) -> Counter:

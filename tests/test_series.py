@@ -168,6 +168,20 @@ def test_star_divergence_detected():
                               inputs=inputs)
 
 
+@pytest.mark.parametrize("labeled,fixpoint", [
+    (True, "pre-Lie star"), (False, "composition inverse")])
+def test_tree_sum_names_its_fixpoint_when_the_chain_is_too_short(
+        labeled, fixpoint):
+    # 2 -> 1 -> c(2, 2): a chain of one arity-1 rule, which needs two
+    # increment rounds per slice; a chain bound of 0 allows one
+    f = S.characteristic(BUD, [BUD.element("1", 1, ("2",)),
+                               BUD.element("2", 2, ("1", "1"))], 3)
+    with pytest.raises(DivergenceError) as info:
+        S._graded_tree_sum(BUD, f.coeffs, 3, 0, labeled=labeled)
+    assert str(info.value) == fixpoint + " did not stabilize"
+    S._graded_tree_sum(BUD, f.coeffs, 3, 1, labeled=labeled)
+
+
 @pytest.mark.parametrize("name", ["bbu", "bbt", "b2", "bs", "bdias"])
 def test_stars_with_other_coefficients_equal_their_power_sums(name):
     # the bottom-up levels against the top-down products, on rule series

@@ -190,6 +190,54 @@ def test_seeded_series_equal_the_filtered_full_fixpoints(name):
             (name, kind)
 
 
+def _check_hook_and_synt_orders(make, bound: int) -> None:
+    """hook_series also caches the syntactic series: in either order, each
+    series equals the one a fresh system computes alone, to the text."""
+    pairs = []
+    hook_first = make()
+    pairs.append((hook_first.hook_series(bound), make().hook_series(bound)))
+    pairs.append((hook_first.synt_series(bound), make().synt_series(bound)))
+    synt_first = make()
+    pairs.append((synt_first.synt_series(bound), make().synt_series(bound)))
+    pairs.append((synt_first.hook_series(bound), make().hook_series(bound)))
+    for got, alone in pairs:
+        assert got == alone
+        assert got.dumps() == alone.dumps()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_hook_and_synt_in_either_order_equal_fresh_runs(name):
+    kwargs = {"bdias": {"gamma": 2}, "btree": {"arities": [2, 3]}}
+    for bound in range(1, 6):
+        _check_hook_and_synt_orders(
+            lambda: builtin(name, **kwargs.get(name, {})), bound)
+
+
+def test_synt_after_hook_runs_no_second_engine_pass(monkeypatch):
+    engine = S._graded_tree_sum
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(kwargs.get("labeled", False))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(S, "_graded_tree_sum", counted)
+    system = builtin("bbu")
+    hook = system.hook_series(4)
+    assert runs == [True]
+    synt = system.synt_series(4)
+    assert runs == [True]  # served from the hook run
+    assert synt.dumps() == builtin("bbu").synt_series(4).dumps()
+    assert runs == [True, False]  # a fresh system alone: one plain run
+    assert system.hook_series(4) is hook
+    other = builtin("bbu")
+    synt = other.synt_series(3)
+    other.hook_series(3)
+    assert runs == [True, False, False, True]
+    assert other.synt_series(3) is synt  # the series asked first stays
+    assert len(runs) == 4
+
+
 def test_language_counts_small():
     bp = builtin("bp")
     lang = bp.language(4)
