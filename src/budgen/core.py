@@ -208,15 +208,6 @@ class BudOperad(Operad):
         a, g, u = x
         return (a, self.ground._compose(g, i, y[1]), u[:i - 1] + y[2] + u[i:])
 
-    def _full_compose(self, x, ys: Sequence):
-        ground = self.ground
-        g, u = x[1], ()
-        for i in range(len(ys), 0, -1):
-            y = ys[i - 1]
-            g = ground._compose(g, i, y[1])
-            u = y[2] + u
-        return (x[0], g, u)
-
     def dumps(self, x) -> str:
         a, g, u = x
         if len(self.colors) == 1:

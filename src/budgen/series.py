@@ -9,9 +9,12 @@ the input colors, in two gradings: arity slices for both tree sums, and
 height for the composition star.  The tree sum `_graded_tree_sum`
 weighs each f-tree by its coefficient product for the inverse of u - f;
 for the pre-Lie star its terms also carry their node counts and the
-product times the increasing labelings, so that one run yields both
-series (`pre_lie_star_and_inverse`).  All stop within a certified cap
-derived from the longest arity-1 chain.
+product times the increasing labelings, as a flat triple, or as a map
+by node count once an element is reached with a second count, so that
+one run yields both series (`pre_lie_star_and_inverse`).  All stop
+within a certified cap derived from the longest arity-1 chain.  The
+derivation graphs of `systems` call the products' one-term kernels,
+`_pre_lie_term` and `_substitute`.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ class Series:
     bound.  The engine builds its results through `Series._unchecked`,
     which only drops zeros: every term it makes is within the bound.  A
     series is not changed once made; the products keep the pools of
-    their right operand on it.
+    their right operand, and the terms of their left operand by first
+    input color, on it.
     """
 
-    __slots__ = ("operad", "bound", "coeffs", "_pooled")
+    __slots__ = ("operad", "bound", "coeffs", "_pooled", "_heads")
 
     def __init__(self, operad: Operad, bound: int, coeffs=None):
         if bound < 1:
@@ -52,7 +56,7 @@ class Series:
                 raise BudgenError("support element exceeds the arity bound")
             cleaned[x] = c
         self.coeffs = cleaned
-        self._pooled = None
+        self._pooled = self._heads = None
 
     @classmethod
     def _unchecked(cls, operad: Operad, bound: int, coeffs: dict) -> Series:
@@ -64,7 +68,7 @@ class Series:
         if 0 in coeffs.values():
             coeffs = {x: c for x, c in coeffs.items() if c != 0}
         f.coeffs = coeffs
-        f._pooled = None
+        f._pooled = f._heads = None
         return f
 
     def coeff(self, x):
@@ -141,31 +145,44 @@ def pre_lie(f: Series, g: Series) -> Series:
     pools = _pools_of(g)
     coeffs: dict = {}
     for y, cy in f.coeffs.items():
-        room = f.bound + 1 - op.arity(y)  # the largest arity of z
-        for i, c in enumerate(op.ins(y), 1):
-            for nz, rows in pools.get(c, {}).items():
-                if nz > room:
-                    continue
-                for z, cz in rows:
-                    x = op._compose(y, i, z)
-                    coeffs[x] = coeffs.get(x, 0) + cy * cz
+        _pre_lie_term(op, y, cy, pools, f.bound, coeffs)
     return Series._unchecked(op, f.bound, coeffs)
 
 
+def _pre_lie_term(op: Operad, y, weight, pools: dict, bound: int,
+                  acc: dict) -> None:
+    """Add weight * cz * (y o_i z) into acc for every input i of y and
+    every z of pools[color of i] (see `_pools`) within the bound."""
+    room = bound + 1 - op.arity(y)  # the largest arity of z
+    for i, c in enumerate(op.ins(y), 1):
+        for nz, rows in pools.get(c, {}).items():
+            if nz > room:
+                continue
+            for z, cz in rows:
+                x = op._compose(y, i, z)
+                acc[x] = acc.get(x, 0) + weight * cz
+
+
 def compose_prod(f: Series, g: Series) -> Series:
-    """All-positions composition product: substitutes one g-term per input."""
+    """All-positions composition product: substitutes one g-term per input.
+    It visits only the terms of f whose first input color has g-terms."""
     _check_compat(f, g)
     op = f.operad
     pools = _pools_of(g)
+    if f._heads is None:
+        f._heads = {}
+        for y, cy in f.coeffs.items():
+            f._heads.setdefault(op.ins(y)[0], []).append((y, cy))
     coeffs: dict = {}
-    for y, cy in f.coeffs.items():
-        _substitute(op, y, cy, pools, 1, f.bound, coeffs)
+    for c in pools:
+        for y, cy in f._heads.get(c, ()):
+            _substitute(op, y, cy, pools, 1, f.bound, coeffs)
     return Series._unchecked(op, f.bound, coeffs)
 
 
 def _pools(op: Operad, rows, pools=None, arity: int | None = None) -> dict:
     """pools[out color][arity] += rows, each (elem, coefficient); a
-    labeled coefficient is {nodes: [product, labeled product]}.  `arity`
+    labeled coefficient is a labeled weight (see `_substitute`).  `arity`
     is the arity of every row, when the caller knows it."""
     pools = {} if pools is None else pools
     out, arity_of = op.out, op.arity
@@ -198,9 +215,16 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
     every pick of total arity in lo..hi; an input of color c picks from
     pools[c] (see `_pools`).
 
-    Labeled, the coefficients of the picks and of the results are
-    {nodes: [product, labeled product]} (see `_graft_weights`), and y
-    adds one node, its root, with both products weighted by `weight`."""
+    Each pick is composed into the part built so far, part o_(a + 1) z
+    with a the arity of the earlier picks, once per shared prefix.
+
+    Labeled, the picks and results carry labeled weights: a triple
+    (nodes, product, labeled product), or a map {nodes: [product,
+    labeled product]} once an element has a second node count.  y adds
+    its root node, weighted by `weight`; a pick of kz nodes multiplies
+    the products, the labeled one also by comb(k + kz, kz) (its labels
+    interleaved with the k before).  Triples stay triples, so an element
+    of one node count allocates no map."""
     choices = [pools.get(c) for c in op.ins(y)]
     if not all(choices):
         return
@@ -209,43 +233,57 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
     for j in range(m - 1, -1, -1):
         a0, a1 = rest[j + 1]
         rest[j] = (a0 + min(choices[j]), a1 + max(choices[j]))
-    picks = [None] * m
+    compose = op._compose
     last = m - 1
 
-    def assign(j: int, arity: int, w) -> None:
+    def assign(j: int, part, arity: int, w) -> None:
         buckets = choices[j]
         a0, a1 = rest[j + 1]
+        root, at = int(j == last), arity + 1  # input j is at arity + 1
         for a in range(max(lo - arity - a1, 1), hi - arity - a0 + 1):
             rows = buckets.get(a)
             if rows is None:
                 continue
             for z, cz in rows:
-                picks[j] = z
-                if j < last:
-                    assign(j + 1, arity + a,
-                           _graft_weights(w, cz) if labeled else w * cz)
-                    continue
-                x = op._full_compose(y, picks)
-                if labeled:
-                    _graft_weights(w, cz, acc.setdefault(x, {}), 1)
+                x = compose(part, at, z)
+                if not labeled:
+                    wz = w * cz
+                elif type(w) is tuple and type(cz) is tuple:
+                    k, p, h = w
+                    kz, pz, hz = cz
+                    wz = (k + kz + root, p * pz, h * hz * comb(k + kz, kz))
+                elif j < last:
+                    wz = _graft_weights(w, cz, 0)
                 else:
-                    acc[x] = acc.get(x, 0) + w * cz
+                    _graft_weights(w, cz, 1, _own_map(acc, x))
+                    continue
+                if j < last:
+                    assign(j + 1, x, arity + a, wz)
+                elif labeled:
+                    old = acc.get(x)
+                    if old is None:
+                        acc[x] = wz
+                    elif (type(old) is tuple and type(wz) is tuple
+                          and old[0] == wz[0]):
+                        acc[x] = (wz[0], old[1] + wz[1], old[2] + wz[2])
+                    else:
+                        _add_labeled(acc, x, wz)
+                else:
+                    acc[x] = acc.get(x, 0) + wz
 
-    assign(0, 0, {0: [weight, weight]} if labeled else weight)
+    assign(0, y, 0, (0, weight, weight) if labeled else weight)
 
 
-def _graft_weights(w: dict, wz: dict, out: dict | None = None,
-                   root: int = 0) -> dict:
-    """Add to `out` the labeled weights of the picks so far, w, combined
-    with those of one more pick, wz: all map a node count to [product,
-    labeled product].  The node counts add, plus `root` (1 for the root
-    of a finished tree); the products multiply, and the labeled products
-    also by the binomial that interleaves the labels of the new pick
-    with those of the picks so far, so that picks of k_1..k_m nodes
-    weigh multinomial(k_1 + .. + k_m; k_1..k_m)."""
+def _graft_weights(w, wz, root: int, out: dict | None = None) -> dict:
+    """Add to the map `out` (a new one by default) the labeled weights w
+    of the picks so far grafted with those of one more pick, wz (see
+    `_substitute`): the node counts add, plus `root` (1 for the root of
+    a finished tree), and the products multiply, the labeled ones also
+    by comb(k + kz, kz)."""
     out = {} if out is None else out
-    for k, (p, h) in w.items():
-        for kz, (pz, hz) in wz.items():
+    rows = wz.items() if type(wz) is dict else ((wz[0], wz[1:]),)
+    for k, (p, h) in w.items() if type(w) is dict else ((w[0], w[1:]),):
+        for kz, (pz, hz) in rows:
             key = k + kz + root
             pp, hh = p * pz, h * hz * comb(k + kz, kz)
             cell = out.get(key)
@@ -257,7 +295,27 @@ def _graft_weights(w: dict, wz: dict, out: dict | None = None,
     return out
 
 
-_NO_PICK = {0: [1, 1]}  # the labeled weight of no picks
+_NO_PICK = (0, 1, 1)  # the labeled weight of no picks
+
+
+def _add_labeled(acc: dict, x, w) -> None:
+    """acc[x] += the labeled weight w (see `_substitute`)."""
+    old = acc.get(x)
+    if old is None:
+        acc[x] = w
+    elif type(old) is tuple and type(w) is tuple and old[0] == w[0]:
+        acc[x] = (w[0], old[1] + w[1], old[2] + w[2])
+    else:
+        _graft_weights(_NO_PICK, w, 0, _own_map(acc, x))
+
+
+def _own_map(acc: dict, x) -> dict:
+    """acc[x] as a labeled map that acc owns, so that weights can be
+    added to it in place: a triple or a missing entry becomes one."""
+    old = acc.get(x)
+    if type(old) is not dict:
+        old = acc[x] = {} if old is None else {old[0]: [old[1], old[2]]}
+    return old
 
 
 def pre_lie_star(f: Series, inputs=None) -> Series:
@@ -370,8 +428,7 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
     added by increments, each from the terms the last one added and
     only by the arity-1 weights of their output colors, which the
     finitely-factorizing chain bound makes vanish within chain + 1
-    rounds.  Labeled terms are {x: {nodes: [product, labeled
-    product]}} (see `_substitute`)."""
+    rounds.  Labeled terms are {x: labeled weight} (see `_substitute`)."""
     unary: dict = {}  # input color -> the arity-1 weights
     wide = []
     for y, cy in weights.items():
@@ -386,7 +443,7 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
     for n in range(1, bound + 1):
         delta = units_series(op, bound, inputs).coeffs if n == 1 else {}
         if labeled:
-            delta = {x: {0: [1, 1]} for x in delta}
+            delta = {x: (0, 1, 1) for x in delta}
         for y, cy in wide:
             _substitute(op, y, cy, pools, n, n, delta, labeled)
         terms: dict = {}
@@ -396,10 +453,8 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
             if not terms:
                 terms = delta
             elif labeled:
-                for x, by_nodes in delta.items():
-                    known = terms.setdefault(x, by_nodes)
-                    if known is not by_nodes:
-                        _graft_weights(_NO_PICK, by_nodes, known)
+                for x, w in delta.items():
+                    _add_labeled(terms, x, w)
             else:
                 for x, c in delta.items():
                     terms[x] = terms.get(x, 0) + c
@@ -409,11 +464,14 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
             for z, cz in last.items():
                 for y, cy in unary.get(out(z), ()):
                     x = compose(y, 1, z)
-                    if labeled:
-                        _graft_weights({0: [cy, cy]}, cz,
-                                       delta.setdefault(x, {}), 1)
-                    else:
+                    if not labeled:
                         delta[x] = delta.get(x, 0) + cy * cz
+                    elif type(cz) is tuple:
+                        _add_labeled(delta, x, (cz[0] + 1, cy * cz[1],
+                                                cy * cz[2]))
+                    else:
+                        _graft_weights((0, cy, cy), cz, 1,
+                                       _own_map(delta, x))
         else:
             raise DivergenceError("%s did not stabilize"
                                   % ("pre-Lie star" if labeled
@@ -424,11 +482,14 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
             sums.update(rows)
             continue
         _pools(op, terms.items(), pools, n)
-        for x, by_nodes in terms.items():
-            p_sum = h_sum = 0
-            for p, h in by_nodes.values():
-                p_sum += p
-                h_sum += h
+        for x, w in terms.items():
+            if type(w) is tuple:
+                _, p_sum, h_sum = w
+            else:
+                p_sum = h_sum = 0
+                for p, h in w.values():
+                    p_sum += p
+                    h_sum += h
             if p_sum != 0:
                 sums[x] = p_sum
             if h_sum != 0:
@@ -467,8 +528,13 @@ def colt_table(f: Series) -> dict:
     """Pushforward to (output color, input color type) indices."""
     op = f.operad
     table: dict = {}
+    types: dict = {}
     for x, c in f.coeffs.items():
-        key = (op.out(x), type_of(op.ins(x), op.colors))
+        word = op.ins(x)
+        alpha = types.get(word)
+        if alpha is None:
+            alpha = types[word] = type_of(word, op.colors)
+        key = (op.out(x), alpha)
         table[key] = table.get(key, 0) + c
     return table
 

@@ -76,9 +76,12 @@ class BudSystem:
             bound)
 
     def _filtered(self, middle: S.Series, bound: int) -> S.Series:
-        """i (.) middle: the terms whose output color is initial.  The
-        middle is built up from the units of the terminal colors only
-        (`inputs=`), so its input colors are all terminal already."""
+        """i (.) middle: the terms whose output color is initial (all of
+        them when every color is).  The middle is built up from the units
+        of the terminal colors only (`inputs=`), so its input colors are
+        all terminal already."""
+        if len(self.initial) == len(self.colors):
+            return middle
         initial = set(self.initial)
         return S.Series._unchecked(self.bud, bound, {
             x: c for x, c in middle.coeffs.items() if x[0] in initial})
@@ -134,19 +137,24 @@ class BudSystem:
     def successors(self, x, bound: int) -> Counter:
         """One-step derivations x -> x o_i r of arity <= bound, with
         multiplicities: the terms of the pre-Lie product x <- r."""
-        return Counter(self._steps(S.pre_lie, x, self.rule_series(bound)))
+        return Counter(self._steps(x, bound, False))
 
     def sync_successors(self, x, bound: int) -> Counter:
         """One-step synchronous derivations x -> x o [r_1..r_n] of arity
         <= bound, with multiplicities: the terms of x (.) r."""
-        return Counter(self._steps(S.compose_prod, x, self.rule_series(bound)))
+        return Counter(self._steps(x, bound, True))
 
-    def _steps(self, product, x, rules: S.Series) -> dict:
-        """The terms of product(x, rules); none when x is above their bound."""
-        if self.bud.arity(x) > rules.bound:
-            return {}
-        return product(S.Series._unchecked(self.bud, rules.bound, {x: 1}),
-                       rules).coeffs
+    def _steps(self, x, bound: int, synchronous: bool, pools=None) -> dict:
+        """The terms of x <- r (of x (.) r) of arity <= bound, from the
+        products' one-term kernels on the pools of r."""
+        if pools is None:
+            pools = S._pools_of(self.rule_series(bound))
+        steps: dict = {}
+        if synchronous:
+            S._substitute(self.bud, x, 1, pools, 1, bound, steps)
+        else:
+            S._pre_lie_term(self.bud, x, 1, pools, bound, steps)
+        return steps
 
     def derivation_graph(self, bound: int, synchronous: bool = False):
         """BFS closure from the initial units, restricted to arity <= bound:
@@ -155,15 +163,15 @@ class BudSystem:
         infinite; a graph above GRAPH_VERTEX_BUDGET vertices raises
         BudgenError."""
         arity1_chain(self.bud, self.rules, "derivation graph")
-        product = S.compose_prod if synchronous else S.pre_lie
-        rules = self.rule_series(bound)
+        pools = S._pools_of(self.rule_series(bound))
         frontier = [self.bud.unit(c) for c in self.initial]
         vertices = set(frontier)
         edges: dict = {}
         while frontier:
             nxt = []
             for x in frontier:
-                for y, mult in self._steps(product, x, rules).items():
+                for y, mult in self._steps(x, bound, synchronous,
+                                           pools).items():
                     edges[(x, y)] = mult
                     if y not in vertices:
                         if len(vertices) == GRAPH_VERTEX_BUDGET:

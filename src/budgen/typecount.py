@@ -163,9 +163,11 @@ def _boxed(pack, box):
                                                    for e in box))))
 
 
-def _unpacked(polys, unpack) -> dict:
-    """{a: polynomial} with packed monomials as {a: exponent tuples}."""
-    return {a: {unpack(m): c for m, c in p.items()} for a, p in polys.items()}
+def _unpacked(colors, polys, unpack) -> dict:
+    """polys[i] of colors[i], on packed monomials, as {a: exponent
+    tuples}."""
+    return {a: {unpack(m): c for m, c in p.items()}
+            for a, p in zip(colors, polys)}
 
 
 def _mul(p: dict, q: dict, limit: int, box=None) -> dict:
@@ -201,33 +203,39 @@ def _add(p: dict, q: dict, scale: int = 1) -> dict:
 
 
 def _plan(system: BudSystem, bound: int):
-    """The rule plan both systems read, from chi_table: `wide` lists (i,
-    tau, n) for the n rules of output color i and arity 2..bound with
-    input type tau, `linear[i]` lists (j, n) for the n arity-1 rules from
-    color j to color i, and `split` maps each type tau > 1 that a wide rule
-    needs to (i, rest), f^tau = f_i * f^rest with i the first color of
-    tau; each entry comes after the entries it reads."""
+    """The rule plan both systems read, from chi_table, each input type
+    resolved to a slot once: slot c < k is the type of one input of color
+    c (f_c itself), slot k + s that of split[s].  `wide` lists (i, slot,
+    n) for the n rules of output color i and arity 2..bound of the
+    slot's type, `linear[j]` lists (i, n) for the n arity-1 rules from
+    color j to color i, and split[s] is (i, rest, degree): f^tau = f_i *
+    f^rest with i the first color of tau and rest a slot of that total
+    degree, after the entries it reads."""
+    k = len(system.colors)
     index = {a: i for i, a in enumerate(system.colors)}
-    wide, linear, split = [], [[] for _ in index], {}
+    slots: dict = {}  # type of total degree >= 2 -> its slot
+    wide, linear, split = [], [[] for _ in index], []
     for (a, tau), n in chi_table(system).items():
         if sum(tau) == 1:
-            linear[index[a]].append((tau.index(1), n))
+            linear[tau.index(1)].append((index[a], n))
         elif sum(tau) <= bound:
-            wide.append((index[a], tau, n))
-            chain = []
-            while sum(tau) > 1 and tau not in split:
-                i = next(i for i, e in enumerate(tau) if e)
-                rest = tau[:i] + (tau[i] - 1,) + tau[i + 1:]
-                chain.append((tau, (i, rest)))
-                tau = rest
-            split.update(reversed(chain))
+            chain, t = [], tau
+            while sum(t) > 1 and t not in slots:
+                i = next(i for i, e in enumerate(t) if e)
+                rest = t[:i] + (t[i] - 1,) + t[i + 1:]
+                chain.append((t, i, rest))
+                t = rest
+            for t, i, rest in reversed(chain):
+                slots[t] = k + len(split)
+                split.append((i, slots[rest] if sum(rest) > 1
+                              else rest.index(1), sum(rest)))
+            wide.append((index[a], slots[tau], n))
     return wide, linear, split
 
 
-def _units(system: BudSystem) -> list:
-    """The type of one input of each color, in color order."""
-    k = len(system.colors)
-    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
+def _unit(k: int, i: int) -> tuple:
+    """The type of one input of color i, among k colors."""
+    return (0,) * i + (1,) + (0,) * (k - 1 - i)
 
 
 def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
@@ -236,44 +244,47 @@ def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
     degree slice.  A product of j >= 2 of the f_c takes only slices below
     d into its slice d, so slice d of f starts from y and the rules of
     arity >= 2 over the finished slices; the arity-1 rules then add
-    increments, which vanish within chain + 1 rounds."""
+    increments, which vanish within chain + 1 rounds; an increment holds
+    only the colors it reaches."""
     chain = arity1_chain(system.bud, system.rules, "functional system")
     wide, linear, split = _plan(system, bound)
-    colors, units = system.colors, _units(system)
+    colors = system.colors
     k = len(colors)
     pack, unpack, top = _packing(k, bound)
     box = _boxed(pack, box)
-    # slices[tau][d] is slice d of f^tau, on packed monomials; those of a
-    # unit are f_c's own
-    slices: dict = {u: [{}] for u in units + list(split)}
-    f = [slices[u] for u in units]
+    # slices[slot][d] is slice d of the type of the slot (see _plan), on
+    # packed monomials; those of the slot of color c are f_c's own
+    slices = [[{}] for _ in range(k + len(split))]
+    f = slices[:k]
     for d in range(1, bound + 1):
-        for tau, (i, rest) in split.items():
+        for s, (i, rest, degree) in enumerate(split, k):
             acc: dict = {}
-            for j in range(1, d - sum(rest) + 1):
+            for j in range(1, d - degree + 1):
                 p, q = f[i][j], slices[rest][d - j]
                 if p and q:
                     _add(acc, _mul(p, q, (d + 1) * top, box))
-            slices[tau].append(acc)
-        delta = [{pack(units[i]): 1} if d == 1 and a in variables else {}
-                 for i, a in enumerate(colors)]
-        for i, tau, n in wide:
-            _add(delta[i], slices[tau][d], n)
-        new = [{} for _ in colors]
+            slices[s].append(acc)
+        delta: dict = {}  # color index -> a nonzero increment
+        if d == 1:
+            delta = {i: {pack(_unit(k, i)): 1}
+                     for i, a in enumerate(colors) if a in variables}
+        for i, s, n in wide:
+            if slices[s][d]:
+                _add(delta.setdefault(i, {}), slices[s][d], n)
+        new: dict = {}
         for _ in range(chain + 2):
-            if not any(delta):
+            if not delta:
                 break
-            for i in range(k):
-                _add(new[i], delta[i])
-            nxt = [{} for _ in colors]
-            for i in range(k):
-                for j, n in linear[i]:
-                    _add(nxt[i], delta[j], n)
+            nxt: dict = {}
+            for j, p in delta.items():
+                _add(new.setdefault(j, {}), p)
+                for i, n in linear[j]:
+                    _add(nxt.setdefault(i, {}), p, n)
             delta = nxt
         else:
             raise DivergenceError("functional system did not stabilize")
         for i in range(k):
-            f[i].append(new[i])
+            f[i].append(new.get(i, {}))
     return {a: {unpack(m): c for s in f[i] for m, c in s.items()}
             for i, a in enumerate(colors)}
 
@@ -282,26 +293,34 @@ def _sync_layers(system: BudSystem, bound: int, variables, packing,
                  box=None):
     """L^0_a = y_a, L^(h+1)_a = g_a(L^h_c1, .., L^h_ck), built from the
     leaves on the monomials of `packing` (box packed too): the perfect
-    expressions of height h by output color and input type.  Each layer
-    forms the products L^tau of the plan by first-color split, L^tau = L_i
-    * L^rest, then sums the rules over them."""
+    expressions of height h by output color and input type, each layer
+    as {color index: its nonzero polynomial}.  Each layer forms the
+    products L^tau of the plan by first-color split, L^tau = L_i *
+    L^rest, then sums the rules over them, the arity-1 rules only out of
+    the colors the layer holds."""
     wide, linear, split = _plan(system, bound)
-    colors, units = system.colors, _units(system)
+    colors = system.colors
+    k = len(colors)
     pack, _, top = packing
     limit = (bound + 1) * top
-    layer = [{pack(u): 1} if a in variables and bound >= 1 else {}
-             for a, u in zip(colors, units)]
+    layer = {i: {pack(_unit(k, i)): 1} for i, a in enumerate(colors)
+             if a in variables and bound >= 1}
     while True:
-        yield dict(zip(colors, layer))
-        prod = dict(zip(units, layer))
-        for tau, (i, rest) in split.items():
-            prod[tau] = _mul(layer[i], prod[rest], limit, box)
-        nxt = [{} for _ in colors]
-        for i, tau, n in wide:
-            _add(nxt[i], prod[tau], n)
-        for i, rules in enumerate(linear):
-            for j, n in rules:
-                _add(nxt[i], layer[j], n)
+        yield layer
+        prod = dict(layer)  # slot (see _plan) -> its nonzero product
+        for s, (i, rest, _) in enumerate(split, k):
+            p, q = prod.get(i), prod.get(rest)
+            if p and q:
+                m = _mul(p, q, limit, box)
+                if m:
+                    prod[s] = m
+        nxt: dict = {}
+        for i, s, n in wide:
+            if s in prod:
+                _add(nxt.setdefault(i, {}), prod[s], n)
+        for j, p in layer.items():
+            for i, n in linear[j]:
+                _add(nxt.setdefault(i, {}), p, n)
         layer = nxt
 
 
@@ -314,12 +333,12 @@ def _solve_sync(system: BudSystem, bound: int, variables, box=None) -> dict:
     pack, unpack, _ = packing = _packing(len(system.colors), bound)
     layers = _sync_layers(system, bound, variables, packing,
                           _boxed(pack, box))
-    f: dict = {a: {} for a in system.colors}
+    f = [{} for _ in system.colors]
     for layer, _ in zip(layers, range(cap)):
-        if not any(layer.values()):
-            return _unpacked(f, unpack)
-        for a, p in layer.items():
-            _add(f[a], p)
+        if not layer:
+            return _unpacked(system.colors, f, unpack)
+        for i, p in layer.items():
+            _add(f[i], p)
     raise DivergenceError("functional system did not stabilize")
 
 
@@ -463,16 +482,17 @@ def sync_iterates(system: BudSystem, ell: int, bound: int) -> list:
     if ell < 0:
         raise BudgenError("iterate index must be >= 0")
     colors = system.colors
-    _, unpack, _ = packing = _packing(len(colors), bound)
-    total: dict = {a: {} for a in colors}
+    k = len(colors)
+    _, unpack, _ = packing = _packing(k, bound)
+    total = [{} for _ in colors]
     iterates = []
     for layer, _ in zip(_sync_layers(system, bound, colors, packing),
                         range(ell + 1)):
-        for a in colors:
-            _add(total[a], layer[a])
-        iterates.append(_unpacked(total, unpack))
+        for i, p in layer.items():
+            _add(total[i], p)
+        iterates.append(_unpacked(colors, total, unpack))
     # f^(0) = y is not truncated
-    iterates[0] = {a: {u: 1} for a, u in zip(colors, _units(system))}
+    iterates[0] = {a: {_unit(k, i): 1} for i, a in enumerate(colors)}
     return [_in_y(system, f) for f in iterates]
 
 

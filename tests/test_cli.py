@@ -273,6 +273,39 @@ def test_series_of_a_long_unit_chain(unit_chain, kind):
     assert proc.stderr == ""
 
 
+CHAIN_CHECK = """max_arity=1
+finitely_factorizing=true
+longest_unary_chain=1500
+faithful=true
+unambiguous=true
+sync_faithful=true
+sync_unambiguous=true
+"""
+CHAIN_COLT = 'color,type,coefficient\nA1,"%s",1\n' % ",".join(["0"] * 1500
+                                                            + ["1"])
+COUNTED = "counting method: type-recurrence\n"
+
+
+@pytest.mark.parametrize("args,stdout,stderr", [
+    (["series", "--kind", "sync"], "1 * A1:1:a\n", ""),
+    (["check"], CHAIN_CHECK, ""),
+    (["colt", "--kind", "sync"], CHAIN_COLT, ""),
+    (["enumerate"], "1 1\n", COUNTED),
+    (["enumerate", "--sync"], "1 1\n", COUNTED),
+], ids=["series-sync", "check", "colt-sync", "enumerate", "enumerate-sync"])
+def test_sync_series_and_counts_of_a_long_unit_chain(unit_chain, args, stdout,
+                                                     stderr):
+    # a height level of the composition star composes only the rules out
+    # of the colors it holds, and the type recurrences follow only the
+    # arity-1 rules out of the colors a layer or an increment holds, so
+    # no level walks all 1,500 rules
+    proc = run_main(args[:1] + ["--system", str(unit_chain), "--max-arity",
+                                "1"] + args[1:])
+    assert proc.returncode == 0
+    assert proc.stdout == stdout
+    assert proc.stderr == stderr
+
+
 TWO_PARSES = """S -> A B
 S -> C D
 A -> a a a

@@ -183,6 +183,45 @@ def test_one_labeled_run_weighs_trees_like_the_oracle(case, pick):
                                     for t in trees)
 
 
+def _nodes(t) -> int:
+    """The node count of the syntax tree t."""
+    return 0 if t[0] == UNIT_TAG else 1 + sum(_nodes(c) for c in t[2])
+
+
+# elements reached with two node counts in one labeled run: the element
+# 3 by a ternary rule and by two binary ones, in either rule order (so
+# either count comes first); (1, 2, (2, 2)) by a binary rule in a slice's
+# first pass and by an arity-1 rule over (2, 2, (2, 2)) in its increment,
+# and then picked at the input of color 1 of (2, 2, (1, 2))
+TWO_COUNT_SYSTEMS = {
+    "as-2-3": ((MONO,), [(MONO, 2, (MONO,) * 2), (MONO, 3, (MONO,) * 3)], 5),
+    "as-3-2": ((MONO,), [(MONO, 3, (MONO,) * 3), (MONO, 2, (MONO,) * 2)], 5),
+    "as-unary": (("1", "2"), [("1", 1, ("2",)), ("2", 2, ("2", "2")),
+                              ("1", 2, ("2", "2")), ("2", 2, ("1", "2"))], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_COUNT_SYSTEMS))
+@pytest.mark.parametrize("scale", SCALARS + (1, "each"))
+def test_labeled_run_with_a_second_node_count_matches_the_oracle(name, scale):
+    # every rule scaled by one scalar, or ("each") by the next in turn
+    colors, rules, bound = TWO_COUNT_SYSTEMS[name]
+    system = BudSystem(AsOperad(), colors, rules, colors[:1], colors)
+    op = system.bud
+    coeffs = {g: SCALARS[i % len(SCALARS)] if scale == "each" else scale
+              for i, g in enumerate(system.rules)}
+    hook, synt = S.pre_lie_star_and_inverse(S.Series(op, bound, coeffs))
+    table = all_treelike(op, system.rules, bound,
+                         degree_bound(bound, system.ff_check()[1]))
+    assert any(len({_nodes(t) for t in trees}) > 1
+               for trees in table.values())
+    for x in set(table) | hook.support() | synt.support():
+        trees = table.get(x, [])
+        assert synt.coeff(x) == sum(_tree_weight(t, coeffs) for t in trees)
+        assert hook.coeff(x) == sum(_tree_weight(t, coeffs) * hook_count(t)
+                                    for t in trees)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(random_systems())
 def test_hook_and_synt_of_random_systems_in_either_order(case):
@@ -271,6 +310,33 @@ _PRESET_KWARGS = {"bdias": {"gamma": 2}, "btree": {"arities": [2, 3]}}
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_bounded_successors_of_presets(name):
     _check_bounded_successors(builtin(name, **_PRESET_KWARGS.get(name, {})), 4)
+
+
+def _check_graph_edges_are_successors(system, bound: int) -> None:
+    """The out-edges of each vertex of a derivation graph, with their
+    multiplicities, are its (synchronous) successors at the bound."""
+    for synchronous, step in ((False, system.successors),
+                              (True, system.sync_successors)):
+        graph = system.derivation_graph(bound, synchronous)
+        out = {x: Counter() for x in graph.vertices}
+        for (x, y), mult in graph.edges.items():
+            out[x][y] = mult
+        for x in graph.vertices:
+            assert out[x] == step(x, bound)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(random_systems())
+def test_graph_edges_are_the_successors_of_random_systems(case):
+    system, bound = case
+    _check_graph_edges_are_successors(system, bound)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_graph_edges_are_the_successors_of_presets(name, bound):
+    _check_graph_edges_are_successors(
+        builtin(name, **_PRESET_KWARGS.get(name, {})), bound)
 
 
 def _check_path_counts(system, bound: int) -> None:

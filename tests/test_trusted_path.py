@@ -1,6 +1,6 @@
 """The checked public compositions and the unchecked path behind them.
 
-The products and derivations compose through `_compose`/`_full_compose`
+The products and derivations compose through the unchecked `_compose`
 once they have matched colors; the public `compose`/`full_compose` must
 still reject bad positions and colors.  Coefficients keep the type of the
 inputs: `int` for the presets, `Fraction` where the input has it or where
