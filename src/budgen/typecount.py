@@ -10,22 +10,25 @@ systems of polynomial equations in one variable y_c per color,
 
 where g_a counts the rules of output color a by input type.  Both are
 solved on integer polynomials truncated at a total degree, over the
-variables a request needs: setting y_c = 0 commutes with composition, so
-the counting series keep only the terminal colors.  One coefficient is
-solved in the box of its type (componentwise), since a tree's type bounds
-its subtrees' types.  Both systems read one rule plan from the rule
-counts: the arity-1 rules, the wider rules, and the products f^tau they
-need, each built by first-color split as f_i * f^rest.  The syntactic
-system is solved degree slice by degree slice: the rules of arity >= 2
-over the finished slices, then arity-1 increments.  The synchronous one
-sums its layers from the leaves, y, g(y), g(g(y)), .., until the whole
-vector is empty; each layer forms the plan's products of the one below.
+variables a request needs: setting y_c = 0 commutes with composition,
+and so does setting every terminal y_c to one variable t, which keeps
+total degree, so the counting series are solved in t alone.  One
+coefficient is solved in the box of its type (componentwise), since a
+tree's type bounds its subtrees' types.  Both systems read one rule
+plan from the rule counts: the arity-1 rules, the wider rules, and the
+products f^tau they need, each built by first-color split as f_i *
+f^rest.  The syntactic system is solved degree slice by degree slice:
+the rules of arity >= 2 over the finished slices, then arity-1
+increments.  The synchronous one sums its layers from the leaves, y,
+g(y), g(g(y)), .., until the whole vector is empty; each layer forms the
+plan's products of the one below.
 While solving, a monomial is one packed int (see _packing): its exponents
-are the digits of the int and its total degree the digit above them, so
-a product of monomials is an integer addition and the truncation one
+are its byte digits and its total degree the digit above them, so a
+product of monomials is an integer addition and the truncation one
 comparison.  The solved systems are decoded to exponent tuples once, at
 the end, and returned as IntPoly values, which need no sympy; as_sympy()
-gives the sympy expression.
+gives the sympy expression.  A count is not decoded: the count of arity
+n is the coefficient of t^n, read off the degree digit.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from types import MappingProxyType
 
 from .core import BudgenError, DivergenceError, type_of
@@ -129,28 +133,27 @@ class IntPoly:
 
 def _packing(k: int, bound: int):
     """(pack, unpack, top): monomials in k variables of total degree <=
-    bound as single ints, the Kronecker substitution.  Digit c, base bound
-    + 1, holds the exponent of variable c, and the digit at top = base**k
-    holds the total degree, so a product of monomials is a sum of ints and
-    "degree > bound" is the one test m >= (bound + 1) * top.  A digit
-    carries only when an exponent reaches bound + 1, that is on a degree
-    above the bound, which the test drops: every kept monomial unpacks
-    exactly.  A bound below 1 keeps no monomial of positive degree; its
-    base is 2, so that the digits stay defined."""
-    base = max(bound, 1) + 1
-    top = base ** k
-    powers = [base ** c for c in range(k)]
+    bound as single ints, the Kronecker substitution on byte digits.
+    Each digit is w bytes wide, w the least width with 256**w > max(bound,
+    1): digit c holds the exponent of variable c, and the digit at top =
+    256**(w * k) holds the total degree, so a product of monomials is a
+    sum of ints and "degree > bound" is the one test m >= (bound + 1) *
+    top.  A digit carries only when an exponent passes the bound, that is
+    on a degree above it, which the test drops: every kept monomial
+    unpacks exactly, by one to_bytes call and a slice, or by a shift per
+    digit when w > 1 (a bound above 255)."""
+    w = (max(bound, 1).bit_length() + 7) // 8
+    shifts = range(0, 8 * w * k, 8 * w)
+    top = 1 << 8 * w * k
+    mask = (1 << 8 * w) - 1
 
     def pack(m) -> int:
-        return sum(e * w for e, w in zip(m, powers)) + sum(m) * top
+        return sum(e << s for e, s in zip(m, shifts)) + sum(m) * top
 
     def unpack(m: int) -> tuple:
-        m %= top
-        exponents = []
-        for _ in powers:
-            m, e = divmod(m, base)
-            exponents.append(e)
-        return tuple(exponents)
+        if w == 1:
+            return tuple(m.to_bytes(k + 1, "little")[:k])
+        return tuple([m >> s & mask for s in shifts])
 
     return pack, unpack, top
 
@@ -196,10 +199,12 @@ def _add(p: dict, q: dict, scale: int = 1) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the two functional systems, by color type.  Both take `variables`, the
-# colors c whose y_c is kept (the others are set to 0, which commutes with
-# composition), and an optional box: a tree's type bounds its subtrees'
-# types componentwise, so the types <= box are solved from types <= box.
+# the two functional systems, by color type.  Both take `leaves`, {color
+# index: the packed monomial of its y_c} for the colors whose y_c is kept
+# (the others are set to 0, which commutes with composition), the top of
+# their packing, and an optional packed box: a tree's type bounds its
+# subtrees' types componentwise, so the types <= box are solved from
+# types <= box.  Both return one packed polynomial per color index.
 
 
 def _plan(system: BudSystem, bound: int):
@@ -238,20 +243,18 @@ def _unit(k: int, i: int) -> tuple:
     return (0,) * i + (1,) + (0,) * (k - 1 - i)
 
 
-def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
-    """{a: f_a} for the fixpoint of f_a = y_a + g_a(f_c1, .., f_ck): the
-    treelike expressions by output color and input type, degree slice by
-    degree slice.  A product of j >= 2 of the f_c takes only slices below
+def _solve_synt(system: BudSystem, bound: int, leaves, top,
+                box=None) -> list:
+    """The fixpoint of f_a = y_a + g_a(f_c1, .., f_ck): the treelike
+    expressions by output color and input type, degree slice by degree
+    slice.  A product of j >= 2 of the f_c takes only slices below
     d into its slice d, so slice d of f starts from y and the rules of
     arity >= 2 over the finished slices; the arity-1 rules then add
     increments, which vanish within chain + 1 rounds; an increment holds
     only the colors it reaches."""
     chain = arity1_chain(system.bud, system.rules, "functional system")
     wide, linear, split = _plan(system, bound)
-    colors = system.colors
-    k = len(colors)
-    pack, unpack, top = _packing(k, bound)
-    box = _boxed(pack, box)
+    k = len(system.colors)
     # slices[slot][d] is slice d of the type of the slot (see _plan), on
     # packed monomials; those of the slot of color c are f_c's own
     slices = [[{}] for _ in range(k + len(split))]
@@ -266,8 +269,7 @@ def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
             slices[s].append(acc)
         delta: dict = {}  # color index -> a nonzero increment
         if d == 1:
-            delta = {i: {pack(_unit(k, i)): 1}
-                     for i, a in enumerate(colors) if a in variables}
+            delta = {i: {m: 1} for i, m in leaves.items()}
         for i, s, n in wide:
             if slices[s][d]:
                 _add(delta.setdefault(i, {}), slices[s][d], n)
@@ -285,26 +287,20 @@ def _solve_synt(system: BudSystem, bound: int, variables, box=None) -> dict:
             raise DivergenceError("functional system did not stabilize")
         for i in range(k):
             f[i].append(new.get(i, {}))
-    return {a: {unpack(m): c for s in f[i] for m, c in s.items()}
-            for i, a in enumerate(colors)}
+    return [{m: c for s in p for m, c in s.items()} for p in f]
 
 
-def _sync_layers(system: BudSystem, bound: int, variables, packing,
-                 box=None):
+def _sync_layers(system: BudSystem, bound: int, leaves, top, box=None):
     """L^0_a = y_a, L^(h+1)_a = g_a(L^h_c1, .., L^h_ck), built from the
-    leaves on the monomials of `packing` (box packed too): the perfect
-    expressions of height h by output color and input type, each layer
-    as {color index: its nonzero polynomial}.  Each layer forms the
-    products L^tau of the plan by first-color split, L^tau = L_i *
-    L^rest, then sums the rules over them, the arity-1 rules only out of
-    the colors the layer holds."""
+    leaves: the perfect expressions of height h by output color and input
+    type, each layer as {color index: its nonzero polynomial}.  Each layer
+    forms the products L^tau of the plan by first-color split, L^tau = L_i
+    * L^rest, then sums the rules over them, the arity-1 rules only out
+    of the colors the layer holds."""
     wide, linear, split = _plan(system, bound)
-    colors = system.colors
-    k = len(colors)
-    pack, _, top = packing
+    k = len(system.colors)
     limit = (bound + 1) * top
-    layer = {i: {pack(_unit(k, i)): 1} for i, a in enumerate(colors)
-             if a in variables and bound >= 1}
+    layer = {i: {m: 1} for i, m in leaves.items() if bound >= 1}
     while True:
         yield layer
         prod = dict(layer)  # slot (see _plan) -> its nonzero product
@@ -324,44 +320,56 @@ def _sync_layers(system: BudSystem, bound: int, variables, packing,
         layer = nxt
 
 
-def _solve_sync(system: BudSystem, bound: int, variables, box=None) -> dict:
-    """{a: f_a} for f_a = y_a + f_a(g_c1, .., g_ck): the sum of the layers
-    up to the first empty one."""
+def _solve_sync(system: BudSystem, bound: int, leaves, top,
+                box=None) -> list:
+    """The fixpoint of f_a = y_a + f_a(g_c1, .., g_ck): the sum of the
+    layers up to the first empty one."""
     # bound 0 still takes one layer to see the zero truncation
     chain = arity1_chain(system.bud, system.rules, "functional system")
     cap = degree_bound(max(bound, 1), chain) + 2
-    pack, unpack, _ = packing = _packing(len(system.colors), bound)
-    layers = _sync_layers(system, bound, variables, packing,
-                          _boxed(pack, box))
     f = [{} for _ in system.colors]
-    for layer, _ in zip(layers, range(cap)):
+    for layer, _ in zip(_sync_layers(system, bound, leaves, top, box),
+                        range(cap)):
         if not layer:
-            return _unpacked(system.colors, f, unpack)
+            return f
         for i, p in layer.items():
             _add(f[i], p)
     raise DivergenceError("functional system did not stabilize")
 
 
-def _table(system: BudSystem, bound: int, synchronous: bool, variables,
+def _solve(system: BudSystem, bound: int, synchronous: bool,
            box=None) -> dict:
-    """{a: f_a} at a bound of at least `bound`, exact on the types
-    supported on `variables` and inside the box, cached per system.
-    Without a box, a table solved at a larger bound serves every smaller
-    one.  Of the box tables only the latest is kept, per kind: it serves
-    every type inside its box (whose support and degree it covers), so
-    a sweep over many types keeps one table."""
+    """{a: f_a} on exponent tuples, one variable y_c per color; given a
+    box, only the types inside it, with y_c = 0 for the colors it
+    excludes."""
+    colors = system.colors
+    k = len(colors)
+    pack, unpack, top = _packing(k, bound)
+    leaves = {i: pack(_unit(k, i)) for i in range(k)
+              if box is None or box[i]}
     solve = _solve_sync if synchronous else _solve_synt
+    return _unpacked(colors, solve(system, bound, leaves, top,
+                                   _boxed(pack, box)), unpack)
+
+
+def _table(system: BudSystem, bound: int, synchronous: bool,
+           box=None) -> dict:
+    """{a: f_a} at a bound of at least `bound`, exact on the types inside
+    the box, cached per system.  Without a box, a table solved at a
+    larger bound serves every smaller one.  Of the box tables only the
+    latest is kept, per kind: it serves every type inside its box (whose
+    support and degree it covers), so a sweep over many types keeps one
+    table."""
     kind = "colt_sync" if synchronous else "colt_synt"
     if box is not None:
         hit = system._cache.get((kind, "box"))
         if hit is None or any(a > b for a, b in zip(box, hit[0])):
             hit = system._cache[kind, "box"] = (
-                box, solve(system, bound, frozenset(variables), box))
+                box, _solve(system, bound, synchronous, box))
         return hit[1]
-    key = (kind, frozenset(variables))
-    hit = system._cache.get(key)
+    hit = system._cache.get(kind)
     if hit is None or hit[0] < bound:
-        hit = system._cache[key] = (bound, solve(system, bound, key[1]))
+        hit = system._cache[kind] = (bound, _solve(system, bound, synchronous))
     return hit[1]
 
 
@@ -378,9 +386,8 @@ def _coeff(system: BudSystem, color: str, alpha, synchronous: bool) -> int:
         # no element has arity 0, even on a color cycle, nor a negative
         # count of a color
         return 0
-    support = [c for c, e in zip(system.colors, alpha) if e]
-    return _table(system, sum(alpha), synchronous, support,
-                  alpha)[color].get(alpha, 0)
+    table = _table(system, sum(alpha), synchronous, alpha)
+    return table[color].get(alpha, 0)
 
 
 def colt_synt_coeff(system: BudSystem, color: str, alpha) -> int:
@@ -404,6 +411,28 @@ def colt_sync_coeff(system: BudSystem, color: str, alpha) -> int:
 PROBE_BOUND = 5
 
 
+def _counts(system: BudSystem, bound: int, synchronous: bool) -> list:
+    """[a(1), .., a(bound)] from the functional system in one variable t:
+    every terminal y_c is set to t, a map that keeps total degree and so
+    commutes with the solvers' products and truncations.  A count reads
+    the degree digit of t^n, with no unpacking.  Counts at a larger bound
+    serve every smaller one, cached per system and kind."""
+    key = "count_sync" if synchronous else "count_synt"
+    counts = system._cache.get(key)
+    if counts is None or len(counts) < bound:
+        pack, _, top = _packing(1, bound)
+        t = pack((1,))
+        solve = _solve_sync if synchronous else _solve_synt
+        f = solve(system, bound, {i: t for i, a in enumerate(system.colors)
+                                  if a in system.terminal}, top)
+        counts = system._cache[key] = [0] * bound
+        for i, a in enumerate(system.colors):
+            if a in system.initial:
+                for m, c in f[i].items():
+                    counts[m // top - 1] += c
+    return counts[:bound]
+
+
 def _counting_series(system: BudSystem, bound: int, synchronous: bool):
     probe = min(bound, PROBE_BOUND)
     if synchronous:
@@ -413,16 +442,10 @@ def _counting_series(system: BudSystem, bound: int, synchronous: bool):
         unambiguous = system.is_unambiguous(probe)
         series = system.synt_series
     if unambiguous:
-        counts = [0] * bound
-        table = _table(system, bound, synchronous, system.terminal)
-        for a in system.initial:
-            for alpha, c in table[a].items():
-                if sum(alpha) <= bound:
-                    counts[sum(alpha) - 1] += c
-        return counts, "type-recurrence"
+        return _counts(system, bound, synchronous), "type-recurrence"
     full = series(bound)
-    counts = [len(full.support_slice(n)) for n in range(1, bound + 1)]
-    return counts, "support"
+    arities = Counter(map(full.operad.arity, full.coeffs))
+    return [arities[n] for n in range(1, bound + 1)], "support"
 
 
 def lang_counting_series(system: BudSystem, bound: int):
@@ -458,7 +481,7 @@ def g_poly(system: BudSystem) -> dict:
 
 
 def _solved(system: BudSystem, bound: int, synchronous: bool) -> dict:
-    table = _table(system, bound, synchronous, system.colors)
+    table = _table(system, bound, synchronous)
     return _in_y(system, {a: {m: c for m, c in p.items() if sum(m) <= bound}
                           for a, p in table.items()})
 
@@ -483,10 +506,11 @@ def sync_iterates(system: BudSystem, ell: int, bound: int) -> list:
         raise BudgenError("iterate index must be >= 0")
     colors = system.colors
     k = len(colors)
-    _, unpack, _ = packing = _packing(k, bound)
+    pack, unpack, top = _packing(k, bound)
+    leaves = {i: pack(_unit(k, i)) for i in range(k)}
     total = [{} for _ in colors]
     iterates = []
-    for layer, _ in zip(_sync_layers(system, bound, colors, packing),
+    for layer, _ in zip(_sync_layers(system, bound, leaves, top),
                         range(ell + 1)):
         for i, p in layer.items():
             _add(total[i], p)
@@ -507,26 +531,31 @@ def refined_perfect(bound: int) -> dict:
     layer uses d_b corollas of arity b.  Returns {n: IntPoly}.
 
     s_n sums, over the last layers (d_2, .., d_bound) with n leaves, the
-    arrangements of the layer times q^d times s_j, j = sum of d_b the
-    corollas of the layer.  The layers of every n <= bound are built once,
-    by coin change over the arities, and the monomials are packed ints
-    (exponents below bound, so no digit carries) until s_n is returned."""
+    arrangements j! / prod d_b! of the layer times q^d times s_j, j = sum
+    of d_b the corollas of the layer.  The layers of every n <= bound are
+    built once, by coin change over the arities, each with its
+    arrangements, and the monomials are packed ints (exponents below
+    bound, so no digit carries) until s_n is returned."""
     if bound < 1:
         raise BudgenError("arity bound must be >= 1")
     pack, unpack, _ = _packing(bound - 1, bound)
-    # layers[n]: (packed layer, corolla count) for each last layer (d_2,
-    # .., d_bound) with n leaves, sum of b * d_b = n; coin change over b
+    # layers[n]: (packed layer, corolla count j, arrangements, largest
+    # arity b, its d_b) for each last layer with n leaves; coin change
+    # over b, a corolla of arity b multiplying the arrangements by (j +
+    # 1) / (d_b + 1)
     layers: list = [[] for _ in range(bound + 1)]
-    layers[0].append((0, 0))
+    layers[0].append((0, 0, 1, 0, 0))
     for b in range(2, bound + 1):
         q_b = pack([int(c == b) for c in range(2, bound + 1)])
         for n in range(b, bound + 1):
-            layers[n] += [(v + q_b, j + 1) for v, j in layers[n - b]]
+            for v, j, weight, last, d in layers[n - b]:
+                d = d + 1 if last == b else 1
+                layers[n].append((v + q_b, j + 1, weight * (j + 1) // d,
+                                  b, d))
     s = {1: {0: 1}}
     for n in range(2, bound + 1):
         total: dict = {}
-        for v, j in layers[n]:
-            weight = multiset_factorial(unpack(v))
+        for v, j, weight, _, _ in layers[n]:
             for m, c in s[j].items():
                 total[v + m] = total.get(v + m, 0) + weight * c
         s[n] = total

@@ -318,6 +318,21 @@ PROBE_WARNING = ("warning: unambiguity checked up to arity 5 only; above "
                  "ambiguous")
 
 
+def test_enumerate_the_five_letter_grammar(tmp_path, run_ok):
+    # the words of length n are {a, b, c, e}^(n-1) d
+    grammar = tmp_path / "five.cfg"
+    grammar.write_text("S -> a S\nS -> b S\nS -> c S\nS -> e S\nS -> d\n")
+    system = tmp_path / "five.json"
+    system.write_text(run_ok(["compile", str(grammar)]).output)
+    proc = run_main(["enumerate", "--system", str(system),
+                     "--max-arity", "40"])
+    assert proc.returncode == 0
+    assert proc.stdout == "".join("%d %d\n" % (n, 4 ** (n - 1))
+                                  for n in range(1, 41))
+    assert proc.stderr.splitlines() == ["counting method: type-recurrence",
+                                        PROBE_WARNING]
+
+
 @pytest.mark.parametrize("bound,warned", [(5, False), (7, True)])
 def test_enumerate_warns_above_the_probe_bound(tmp_path, bound, warned,
                                                run_ok):

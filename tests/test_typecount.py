@@ -196,7 +196,7 @@ def _refined_perfect_reference(bound):
 
 
 def test_refined_perfect_matches_the_recursive_layers():
-    for bound in range(1, 13):
+    for bound in range(1, 15):
         reference = _refined_perfect_reference(bound)
         s = refined_perfect(bound)
         assert s.keys() == reference.keys()
@@ -231,30 +231,45 @@ def _mul_reference(p, q, bound, box=None):
 
 def test_packed_mul_matches_the_tuple_product():
     rng = random.Random(17)
-    for k in range(1, 5):
-        for bound in range(7):
-            pack, unpack, top = _packing(k, bound)
-            monomials = [m for n in range(bound + 1) for m in _types(k, n)]
-            for m in monomials:
-                assert unpack(pack(m)) == m
-            # y_c**bound in both factors: their square carries a digit
-            high = [tuple(bound * (i == c) for i in range(k))
-                    for c in range(k)]
-            for _ in range(12):
-                p, q = ({m: rng.randint(1, 9)
-                         for m in rng.sample(monomials, min(4, len(monomials)))
-                         + high} for _ in range(2))
-                box = rng.choice([None, tuple(rng.randint(0, bound)
-                                              for _ in range(k))])
-                packed_box = None if box is None else frozenset(
-                    pack(m) for m in monomials
-                    if all(a <= b for a, b in zip(m, box)))
-                d = rng.randint(0, bound)
-                got = _mul({pack(m): c for m, c in p.items()},
-                           {pack(m): c for m, c in q.items()},
-                           (d + 1) * top, packed_box)
-                assert {unpack(m): c for m, c in got.items()} == \
-                    _mul_reference(p, q, d, box), (k, bound, d, box)
+    cases = [(k, bound) for k in range(1, 5) for bound in range(7)]
+    # digits of one byte up to bound 255, of two bytes from 256 on
+    cases += [(k, bound) for k in (1, 2) for bound in (255, 256, 300)]
+    for k, bound in cases:
+        pack, unpack, top = _packing(k, bound)
+        monomials = [m for n in range(bound + 1) for m in _types(k, n)]
+        for m in monomials:
+            assert unpack(pack(m)) == m
+        # y_c**bound in both factors: their square carries a digit of one
+        # byte
+        high = [tuple(bound * (i == c) for i in range(k)) for c in range(k)]
+        for _ in range(12):
+            p, q = ({m: rng.randint(1, 9)
+                     for m in rng.sample(monomials, min(4, len(monomials)))
+                     + high} for _ in range(2))
+            box = rng.choice([None, tuple(rng.randint(0, bound)
+                                          for _ in range(k))])
+            # _mul looks up only the products in the box
+            packed_box = None if box is None else frozenset(
+                pack(m) for m in (tuple(map(sum, zip(m1, m2)))
+                                  for m1 in p for m2 in q)
+                if sum(m) <= bound and all(a <= b for a, b in zip(m, box)))
+            d = rng.randint(0, bound)
+            got = _mul({pack(m): c for m, c in p.items()},
+                       {pack(m): c for m, c in q.items()},
+                       (d + 1) * top, packed_box)
+            assert {unpack(m): c for m, c in got.items()} == \
+                _mul_reference(p, q, d, box), (k, bound, d, box)
+
+
+def test_unit_monomials_of_many_variables_unpack_exactly():
+    # the 1,501 colors of a long unit chain: one byte per exponent
+    k = 1501
+    pack, unpack, top = _packing(k, 1)
+    assert top == 256 ** k
+    for i in range(k):
+        unit = (0,) * i + (1,) + (0,) * (k - 1 - i)
+        assert pack(unit) == 256 ** i + top
+        assert unpack(pack(unit)) == unit
 
 
 def test_colt_coefficients_of_types_no_element_has():
@@ -416,9 +431,26 @@ def test_counting_series_at_large_bounds():
     assert lang_counting_series(builtin("bs"), 16) == (
         [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012,
          742900, 2674440, 9694845], "type-recurrence")
+    assert lang_counting_series(builtin("bs"), 30) == ([
+        1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012,
+        742900, 2674440, 9694845, 35357670, 129644790, 477638700,
+        1767263190, 6564120420, 24466267020, 91482563640, 343059613650,
+        1289904147324, 4861946401452, 18367353072152, 69533550916004,
+        263747951750360, 1002242216651368], "type-recurrence")
     assert sync_counting_series(builtin("b3"), 18) == (
         [1, 1, 1, 1, 3, 2, 2, 6, 9, 15, 15, 17, 41, 77, 125, 178, 252, 376],
         "type-recurrence")
+
+
+FIVE_LETTERS = "S -> a S\nS -> b S\nS -> c S\nS -> e S\nS -> d\n"
+
+
+def test_counting_series_of_the_five_letter_grammar():
+    # the words of length n are {a, b, c, e}^(n-1) d
+    counts, method = lang_counting_series(cfg_to_bud(parse_cfg(FIVE_LETTERS)),
+                                          40)
+    assert method == "type-recurrence"
+    assert counts == [4 ** (n - 1) for n in range(1, 41)]
 
 
 def test_synt_system_of_bbt_at_degree_16():
