@@ -48,7 +48,6 @@ class Operad:
     """
 
     colors: tuple[str, ...] = (MONO,)
-    _keys: dict | None = None  # the memo of `key`, made on first use
 
     def arity(self, x) -> int:
         raise NotImplementedError
@@ -103,9 +102,9 @@ class Operad:
         return text
 
     def key(self, x) -> tuple[int, str]:
-        """Sort key: (arity, canonical serialization).  It is not memoized
-        here: the tree grounds answer both from their per-subtree memos,
-        and the other grounds print with `str` or a short format."""
+        """Sort key: (arity, canonical serialization).  It is not memoized:
+        the tree grounds' elements are their own texts, and the other
+        grounds print with `str` or a short format."""
         return (self.arity(x), self.dumps(x))
 
     def elements(self, n: int) -> Iterable:

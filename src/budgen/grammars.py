@@ -34,6 +34,7 @@ from .operads import (
     CollectionSpec,
     FreeOperad,
     capped_tree_operad,
+    dumps_term,
     loads_term,
 )
 from .operads import AsOperad
@@ -177,8 +178,8 @@ def parse_rtg(text: str) -> Rtg:
 
 
 def _split_leaves(ground: FreeOperad, t):
-    """Split a rule tree into (ground element, word of leaf labels).  A
-    leaf is a node of length 1: a variable or a constant of a regular
+    """Split a rule tree into (ground element text, word of leaf labels).
+    A leaf is a node of length 1: a variable or a constant of a regular
     tree grammar, a color of a synchronous grammar; a bare leaf becomes
     the unit."""
     if len(t) == 1:
@@ -191,7 +192,7 @@ def _split_leaves(ground: FreeOperad, t):
             return LEAF
         return tuple([node[0]] + [walk(c) for c in node[1:]])
 
-    return walk(t), tuple(leaves)
+    return dumps_term(walk(t)), tuple(leaves)
 
 
 def rtg_to_bud(rtg: Rtg) -> BudSystem:
@@ -255,7 +256,7 @@ def rtg_term_of(system: BudSystem, x):
             return (labels.pop(0),)
         return tuple([node[0]] + [walk(c) for c in node[1:]])
 
-    return walk(g)
+    return walk(loads_term(g))
 
 
 # ---------------------------------------------------------------------------

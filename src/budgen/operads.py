@@ -8,9 +8,12 @@ words print as digit strings; Motzkin paths print as U/H/D step strings
 (the empty string is the arity-1 path).
 
 The three tree-shaped operads (magmatic, Schroeder and free) share one
-term core, `TermOperad`: an arity and a text memoized per subtree, one
-leaf walk for grafting, and one enumerator and one validator that both
-follow from the node rule `_nodes(above, k)` each class states once.
+term core, `TermOperad`.  Their elements are their canonical term texts:
+the arity counts the leaves, grafting splices a text in at the position
+of a leaf, and printing is the identity.  One enumerator and one
+validator both follow from the node rule `_nodes(above, k)` each class
+states once; `loads` parses a text into a tuple term (`loads_term`),
+validates it and prints it back canonically.
 
 The two walks over a finite DAG, the color chains of the arity-1 rules
 (`finitely_factorizing_check`) and the path counts of a derivation graph
@@ -21,6 +24,7 @@ The two walks over a finite DAG, the color chains of the arity-1 rules
 from __future__ import annotations
 
 import math
+import re
 from itertools import product
 from typing import Sequence
 
@@ -31,7 +35,6 @@ from .core import (
     DivergenceError,
     NotGeneratedError,
     Operad,
-    PositionError,
     validate_color_token,
 )
 
@@ -125,64 +128,45 @@ def loads_term(text: str):
 # the term core of the tree-shaped operads
 
 
-_UNIT_HEADS = (LEAF, UNIT_TAG)  # x[0] of a unit: the leaf, or ('!', c)
+_UNIT_HEADS = (LEAF, UNIT_TAG)  # the first character of a unit: LEAF or UNIT_TAG + c
 
 
 class TermOperad(Operad):
-    """Terms (label, child, ..) whose leaves are LEAF, and whose units are
-    LEAF or (UNIT_TAG, c); x o_i y grafts y onto the i-th leaf of x.
+    """Elements are their canonical term text: LEAF, the unit UNIT_TAG + c
+    of a color c, or a node `label(child,..)` whose leaves are LEAF; x o_i
+    y splices the text of y in place of the i-th leaf of x.  An element is
+    a str, so it hashes once, and it prints as itself.
 
     Subclasses state one node rule, `_nodes(above, k)`: the pairs
     (label, child contexts) of the nodes with exactly k children allowed
     under the context `above` (None at the root); a child context is the
-    `above` of that child.  `elements(n)` and `validate`,
-    which `loads` runs on every parsed term, both follow from it.  A
-    subclass may also override `_plant`, which says what a grafted term
-    becomes below its new parent.
-
-    Arities and texts are memoized per subtree, per operad: grafting asks
-    for the arity of a subtree at every level, and the composed terms of
-    a series share most of their subtrees.
+    `above` of that child.  `elements(n)` and `validate`, which `loads`
+    runs on the parsed term of every text, both follow from it.  A
+    subclass may also override `_splice`, which says what text y becomes
+    in place of the leaf of x at `pos`.
     """
 
     UNIT = LEAF
 
-    def __init__(self):
-        self._arities = {LEAF: 1}
-        self._texts = {LEAF: LEAF}
+    def arity(self, x: str) -> int:
+        # labels and generator names hold no LEAF, and a unit is only
+        # ever a whole element
+        return 1 if x[0] == UNIT_TAG else x.count(LEAF)
 
-    def arity(self, x) -> int:
-        a = self._arities.get(x)
-        if a is None:
-            a = self._arities[x] = sum(self.arity(c) for c in x[1:])
-        return a
-
-    def _compose(self, x, i: int, y):
+    def _compose(self, x: str, i: int, y: str) -> str:
         if x[0] in _UNIT_HEADS:
             return y
         if y[0] in _UNIT_HEADS:
             return x
-        return self._graft(x, i, y)
+        pos = -1
+        for _ in range(i):
+            pos = x.index(LEAF, pos + 1)
+        return x[:pos] + self._splice(x, pos, y) + x[pos + 1:]
 
-    def _graft(self, x, i, y):
-        """x o_i y for a node x and a non-unit y."""
-        offset = 0
-        for j in range(1, len(x)):
-            child = x[j]
-            a = self.arity(child)
-            if i <= offset + a:
-                if child == LEAF:
-                    mid = self._plant(x[0], y)
-                else:
-                    mid = (self._graft(child, i - offset, y),)
-                return x[:j] + mid + x[j + 1:]
-            offset += a
-        raise PositionError("leaf %d not found" % i)  # pragma: no cover
-
-    def _plant(self, label, y) -> tuple:
-        """The children that y becomes in place of a leaf of a node
-        labeled `label`."""
-        return (y,)
+    def _splice(self, x: str, pos: int, y: str) -> str:
+        """The text that the node y becomes in place of the leaf of x at
+        `pos`."""
+        return y
 
     def _nodes(self, above, k: int):
         raise NotImplementedError
@@ -196,11 +180,12 @@ class TermOperad(Operad):
                     for split in _compositions(n, k):
                         for children in product(*[trees(m, c) for m, c
                                                   in zip(split, contexts)]):
-                            yield (label,) + children
+                            yield "%s(%s)" % (label, ",".join(children))
 
         return trees(n, None)
 
     def validate(self, t) -> None:
+        """Check the parsed term t (a tuple, see `loads_term`)."""
         def walk(node, above):
             for label, contexts in self._nodes(above, len(node) - 1):
                 if label == node[0]:
@@ -220,13 +205,10 @@ class TermOperad(Operad):
         if t != LEAF:
             walk(t, None)
 
-    def dumps(self, x) -> str:
-        return dumps_term(x, self._texts)
-
-    def loads(self, text: str):
+    def loads(self, text: str) -> str:
         t = loads_term(text)
         self.validate(t)
-        return t
+        return dumps_term(t)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +220,8 @@ class MagOperad(TermOperad):
 
     NODE = "c"
 
-    def corolla(self):
-        return (self.NODE, LEAF, LEAF)
+    def corolla(self) -> str:
+        return "%s(*,*)" % self.NODE
 
     def _nodes(self, above, k: int):
         return [(self.NODE, (None, None))] if k == 2 else []
@@ -353,12 +335,18 @@ class ASchrOperad(TermOperad):
 
     LABELS = ("a", "b")
 
-    def corolla(self, label: str):
-        return (label, LEAF, LEAF)
+    def corolla(self, label: str) -> str:
+        return "%s(*,*)" % label
 
-    def _plant(self, label, y) -> tuple:
-        # merge: the children of y take the place of the leaf
-        return y[1:] if y[0] == label else (y,)
+    def _splice(self, x: str, pos: int, y: str) -> str:
+        # the leaf's parent sits at depth d (the root's is 1), and labels
+        # alternate along every path, so the parent is labeled like the
+        # root of x at odd d and like the other label at even d; when that
+        # is the label of y, the children of y merge into the parent
+        depth = x.count("(", 0, pos) - x.count(")", 0, pos)
+        if (y[0] == x[0]) == (depth % 2 == 1):
+            return y[2:-1]
+        return y
 
     def _nodes(self, above, k: int):
         # at least 2 children, and never the label of the parent
@@ -419,49 +407,54 @@ class CollectionSpec:
         return len(self.gens[name][1])
 
 
+# the tokens of a term text that ins() reads: a leaf, a node's end, and a
+# node's name with its opening parenthesis
+_INS_TOKENS = re.compile(r"\*|\)|[^(),]+\(")
+
+
 class FreeOperad(TermOperad):
     """Free colored operad over a CollectionSpec.
 
-    Elements are syntax trees: the unit of color c is ('!', c); other
-    elements are nested tuples (name, child, ...) whose children are
-    either '*' leaves (color determined by the parent signature) or
-    further nodes.
+    Elements are term texts: the unit of color c is '!c'; another element
+    is `name(child,..)`, each child a '*' leaf, whose color the signature
+    of its parent gives, or a further node.
     """
 
     def __init__(self, spec: CollectionSpec):
-        super().__init__()
         self.spec = spec
         self.colors = spec.colors
-        # a unit ('!', c) is not a node over leaves: its arity is seeded
-        self._arities.update((self.unit(c), 1) for c in self.colors)
 
-    def out(self, x) -> str:
+    def out(self, x: str) -> str:
         if x[0] == UNIT_TAG:
-            return x[1]
-        return self.spec.out(x[0])
+            return x[1:]
+        return self.spec.out(x[:x.index("(")])
 
-    def ins(self, x) -> tuple[str, ...]:
+    def ins(self, x: str) -> tuple[str, ...]:
+        """The input colors of x, read off its text in one scan.  A bud
+        element carries its own input word, so only the non-bud API
+        asks."""
         if x[0] == UNIT_TAG:
-            return (x[1],)
-        result: list[str] = []
-        self._collect_ins(x, result)
-        return tuple(result)
-
-    def _collect_ins(self, x, acc: list[str]) -> None:
-        sig = self.spec.ins(x[0])
-        for color, child in zip(sig, x[1:]):
-            if child == LEAF:
-                acc.append(color)
+            return (x[1:],)
+        colors: list[str] = []
+        slots: list = []  # the input colors left at each open node
+        for token in _INS_TOKENS.findall(x):
+            if token == LEAF:
+                colors.append(next(slots[-1]))
+            elif token == ")":
+                slots.pop()
             else:
-                self._collect_ins(child, acc)
+                if slots:
+                    next(slots[-1])  # this node fills one slot of its parent
+                slots.append(iter(self.spec.ins(token[:-1])))
+        return tuple(colors)
 
-    def unit(self, c: str):
+    def unit(self, c: str) -> str:
         if c not in self.colors:
             raise BudgenError("unknown color %r" % c)
-        return (UNIT_TAG, c)
+        return UNIT_TAG + c
 
-    def corolla(self, name: str):
-        return tuple([name] + [LEAF] * self.spec.arity(name))
+    def corolla(self, name: str) -> str:
+        return "%s(%s)" % (name, ",".join(LEAF * self.spec.arity(name)))
 
     def _nodes(self, above, k: int):
         # the generators of arity k whose output is `above` (at the root,

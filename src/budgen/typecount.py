@@ -39,7 +39,7 @@ import operator
 from collections import Counter
 from types import MappingProxyType
 
-from .core import BudgenError, DivergenceError, type_of
+from .core import BudgenError, DivergenceError
 from .operads import arity1_chain, degree_bound
 from .systems import BudSystem
 
@@ -57,9 +57,18 @@ def chi_table(system: BudSystem) -> dict:
     """Rule counts indexed by (output color, input color type)."""
     key = "chi"
     if key not in system._cache:
+        # one color -> index map serves every rule, so that a type costs
+        # O(k + |u|) for k colors and a rule word u
+        index = {c: j for j, c in enumerate(system.colors)}
         table: dict = {}
-        for r in system.rules:
-            k = (r[0], type_of(r[2], system.colors))
+        for out, _, u in system.rules:
+            alpha = [0] * len(index)
+            for c in u:
+                j = index.get(c)
+                if j is None:
+                    raise BudgenError("color %r not declared" % c)
+                alpha[j] += 1
+            k = (out, tuple(alpha))
             table[k] = table.get(k, 0) + 1
         system._cache[key] = table
     return system._cache[key]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -108,6 +109,26 @@ FROZEN_STDOUT["graph-bbt-sync.dot"] = ["graph", "--builtin", "bbt", "--sync",
 def test_stdout_is_frozen(run_ok, name):
     expected = (DATA / "stdout" / name).read_text()
     assert run_ok(FROZEN_STDOUT[name]).output == expected
+
+
+# sha256 of stdout at the default bound 8, above the benchmark's bounds:
+# the element texts of the free and Schroeder grounds, their order and
+# every coefficient
+FROZEN_DIGESTS = {
+    "series-b2-hook": (
+        ["series", "--builtin", "b2", "--kind", "hook"],
+        "be84fa6738cb6ecf034c4477f8e1eaf83e08e7a82674b88f5be01b863c5e612d"),
+    "series-bs-synt": (
+        ["series", "--builtin", "bs"],
+        "7cba1f69b0fc4b739e1821cd5999e539c98755bd3a1c8026dd7c5ba86f706559"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
+def test_stdout_digest_is_frozen(run_ok, name):
+    args, digest = FROZEN_DIGESTS[name]
+    output = run_ok(args).output
+    assert hashlib.sha256(output.encode()).hexdigest() == digest
 
 
 def test_graph_text_output(run_ok):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,14 +54,16 @@ def _dumps_reference(t) -> str:
     ids=["mag", "aschr", "free-two-color"])
 def test_memoized_printer_matches_the_recursive_one(make):
     # elements(1) of the free operad are its units !1 and !2; the second
-    # round prints every element again from a warm memo
+    # round prints every term again from a warm memo
     op = make()
+    texts = {"*": "*"}
     for _ in range(2):
         for n in range(1, 6):
             for x in op.elements(n):
-                text = _dumps_reference(x)
-                assert op.dumps(x) == text
-                assert dumps_term(x) == text
+                t = loads_term(x)
+                text = _dumps_reference(t)
+                assert op.dumps(x) == x == text
+                assert dumps_term(t) == dumps_term(t, texts) == text
 
 
 def test_printer_memo_is_keyed_by_value():
@@ -68,8 +71,9 @@ def test_printer_memo_is_keyed_by_value():
     x = ("c", ("c", "*", "*"), "*")
     y = loads_term("c(c(*,*),*)")
     assert x == y and x is not y and x[1] is not y[1]
-    assert op.dumps(x) == op.dumps(y) == "c(c(*,*),*)"
-    assert op.dumps(y[1]) == "c(*,*)"
+    assert dumps_term(x) == dumps_term(y) == op.dumps(op.loads(
+        "c(c(*,*),*)")) == "c(c(*,*),*)"
+    assert dumps_term(y[1]) == "c(*,*)"
     texts = {}
     assert dumps_term(x, texts) == "c(c(*,*),*)"
     assert texts[y[1]] == "c(*,*)"
@@ -242,6 +246,137 @@ def test_free_operad_counts():
         list(capped_tree_operad(2).elements(3))
 
 
+# -- text grafting against the tuple graft -----------------------------------
+
+
+def _graft_reference(x, i, y, merge):
+    """x o_i y on tuple terms by the recursive leaf walk: the units first,
+    then y planted on the i-th leaf; with `merge`, the children of y take
+    the place of the leaf when y's label is the parent's (Schroeder)."""
+    if x == "*" or x[0] == "!":
+        return y
+    if y == "*" or y[0] == "!":
+        return x
+    offset = 0
+    for j in range(1, len(x)):
+        child = x[j]
+        a = _leaves(child)
+        if i <= offset + a:
+            if child == "*":
+                mid = y[1:] if merge and y[0] == x[0] else (y,)
+            else:
+                mid = (_graft_reference(child, i - offset, y, merge),)
+            return x[:j] + mid + x[j + 1:]
+        offset += a
+    raise AssertionError("leaf %d not found" % i)
+
+
+def _ins_reference(spec, t):
+    if t[0] == "!":
+        return (t[1],)
+    colors = []
+    for color, child in zip(spec.ins(t[0]), t[1:]):
+        colors.extend((color,) if child == "*" else _ins_reference(spec, child))
+    return tuple(colors)
+
+
+def _random_term(rng, op, above, depth):
+    """A random tuple term of width 1..3 per node under the node rule of
+    op, its root allowed under `above`."""
+    label, contexts = rng.choice([node for k in (1, 2, 3)
+                                  for node in op._nodes(above, k)])
+    return (label,) + tuple(
+        "*" if depth == 0 or rng.random() < 0.4
+        else _random_term(rng, op, context, depth - 1)
+        for context in contexts)
+
+
+def _unary_spec():
+    # arity-1 generators u, v and a two-color signature, so that a leaf's
+    # color depends on its parent
+    return CollectionSpec([("u", "1", ("2",)), ("f", "1", ("1", "2")),
+                           ("v", "2", ("2",)), ("g", "2", ("1", "1", "2"))])
+
+
+@pytest.mark.parametrize("make", [
+    MagOperad, ASchrOperad, lambda: FreeOperad(_two_color_spec()),
+    lambda: FreeOperad(_unary_spec())],
+    ids=["mag", "aschr", "free-two-color", "free-unary"])
+def test_text_graft_matches_the_tuple_graft(make):
+    op = make()
+    free = isinstance(op, FreeOperad)
+    merge = isinstance(op, ASchrOperad)
+    rng = random.Random(23)
+    units = 0
+    for _ in range(600):
+        x = ("!", rng.choice(op.colors)) if free else "*"
+        if rng.random() > 0.1:
+            x = _random_term(rng, op, None, 4)
+        i = rng.randint(1, _leaves(x))
+        color = _ins_reference(op.spec, x)[i - 1] if free else None
+        y = ("!", color) if free else "*"
+        if rng.random() > 0.1:
+            y = _random_term(rng, op, color, 4)
+        units += "*" in (x, y) or "!" in (x[0], y[0])
+        z = op.compose(dumps_term(x), i, dumps_term(y))
+        t = _graft_reference(x, i, y, merge)
+        assert z == dumps_term(t)
+        assert op.arity(z) == _leaves(t)
+        assert op.loads(z) == z
+        if free:
+            assert op.out(z) == (t[1] if t[0] == "!" else op.spec.out(t[0]))
+            assert op.ins(z) == _ins_reference(op.spec, t)
+    assert units > 50
+
+
+def test_schroeder_text_graft_merges_at_odd_and_even_depth():
+    op = ASchrOperad()
+    cases = [
+        # (x, i, y, x o_i y): merges into parents at depths 1, 2 and 3,
+        # under either root label, each next to a leaf that does not merge
+        ("a(*,*)", 1, "a(*,*)", "a(*,*,*)"),
+        ("a(*,*)", 2, "b(*,*)", "a(*,b(*,*))"),
+        ("a(*,b(*,*))", 2, "b(*,*,*)", "a(*,b(*,*,*,*))"),
+        ("a(*,b(*,*))", 3, "a(*,*)", "a(*,b(*,a(*,*)))"),
+        ("a(b(a(*,*),*),*)", 2, "a(*,*)", "a(b(a(*,*,*),*),*)"),
+        ("a(b(a(*,*),*),*)", 2, "b(*,*)", "a(b(a(*,b(*,*)),*),*)"),
+        ("b(a(*,*),a(*,b(*,*)))", 4, "b(*,*)", "b(a(*,*),a(*,b(*,*,*)))"),
+        ("b(a(*,*),a(*,b(*,*)))", 3, "b(*,*)", "b(a(*,*),a(b(*,*),b(*,*)))"),
+    ]
+    for x, i, y, z in cases:
+        assert op.compose(x, i, y) == z
+        assert z == dumps_term(_graft_reference(
+            loads_term(x), i, loads_term(y), True))
+
+
+def test_graft_at_depth_3000_does_not_recurse():
+    # a left comb of 3,000 alternating Schroeder corollas, built and then
+    # grafted on at its deepest leaf, where the parent is at depth 3,000;
+    # and a chain of 3,000 arity-1 free generators
+    op = ASchrOperad()
+    label = ["b", "a"]  # the label at depth d is label[d % 2]
+    x = op.corolla("a")
+    for d in range(2, 3001):
+        x = op.compose(x, 1, op.corolla(label[d % 2]))
+    head = "".join(label[d % 2] + "(" for d in range(1, 3001))
+    assert x == head + "*" + ",*)" * 3000
+    assert op.arity(x) == 3001
+    assert op.compose(x, 1, op.corolla("b")) == head + "*,*,*)" + ",*)" * 2999
+    assert op.compose(x, 2, op.corolla("a")) == head + "*,a(*,*))" + ",*)" * 2999
+    free = FreeOperad(_unary_spec())
+    chain = free.unit("2")
+    for _ in range(1500):
+        chain = free.compose(free.compose(free.corolla("v"), 1, chain), 1,
+                             free.corolla("v"))
+    deep = free.compose(free.corolla("u"), 1, chain)
+    assert deep == "u(" + "v(" * 3000 + "*" + ")" * 3001
+    grafted = free.compose(deep, 1, free.corolla("g"))
+    assert grafted == "u(" + "v(" * 3000 + "g(*,*,*)" + ")" * 3001
+    assert free.arity(grafted) == 3
+    assert free.ins(grafted) == ("1", "1", "2")
+    assert free.out(grafted) == "1"
+
+
 def _terms_up_to(size: int, labels, leaves):
     """Every term of size <= `size` over `labels`, with leaves from
     `leaves`; the size counts the leaves and the one-child nodes."""
@@ -280,14 +415,14 @@ def test_loads_accepts_exactly_the_elements(make):
     terms = _terms_up_to(4, ["a", "b", "c", "z"], ["*", ("!", "1")])
     for t in terms:
         text = dumps_term(t)
-        if t in elements[_leaves(t)]:
-            assert op.loads(text) == t
+        if text in elements[_leaves(t)]:
+            assert op.loads(text) == dumps_term(t)
         else:
             with pytest.raises(BudgenError):
                 op.loads(text)
     # the terms hold every element with at most 4 leaves but the unit !2
-    missed = set().union(*elements.values()) - set(terms)
-    assert missed <= {("!", "2")}
+    missed = set().union(*elements.values()) - set(map(dumps_term, terms))
+    assert missed <= {"!2"}
 
 
 def test_node_rules_name_the_exact_width():

@@ -39,7 +39,7 @@ GROUNDS = [
     (MotzOperad(), "H", "UD"),
     (ASchrOperad(), ASchrOperad().corolla("a"), ASchrOperad().corolla("b")),
     (FreeOperad(CollectionSpec([("f", MONO, (MONO, MONO))])),
-     ("f", "*", "*"), ("f", "*", "*")),
+     "f(*,*)", "f(*,*)"),
 ]
 
 

@@ -4,7 +4,7 @@ import pytest
 import sympy as sp
 
 import budgen.series as S
-from budgen.core import BudgenError, DivergenceError, MONO
+from budgen.core import BudgenError, DivergenceError, MONO, type_of
 from budgen.grammars import cfg_to_bud, parse_cfg
 from budgen.operads import MagOperad
 from budgen.systems import BudSystem, builtin
@@ -51,6 +51,20 @@ def test_chi_and_g_for_bbu():
     g = g_poly(bbu)
     assert g["1"] == 2 * Y2
     assert g["2"] == Y1 ** 2
+
+
+def test_chi_table_counts_the_rule_types():
+    # against one `type_of` per rule, on the presets and on a grammar
+    # whose rule words repeat and skip colors
+    grammar = "S -> a S b S\nS -> T c\nT -> a a S\nT -> c\nS -> b"
+    systems = [builtin(name) for name in ("bbt", "bbu", "b2", "bs", "bp")]
+    systems.append(cfg_to_bud(parse_cfg(grammar)))
+    for system in systems:
+        expected: dict = {}
+        for out, _, u in system.rules:
+            key = (out, type_of(u, system.colors))
+            expected[key] = expected.get(key, 0) + 1
+        assert chi_table(system) == expected
 
 
 def test_colt_synt_matches_series():
