@@ -13,7 +13,7 @@ the arity counts the leaves, grafting splices a text in at the position
 of a leaf, and printing is the identity.  One enumerator and one
 validator both follow from the node rule `_nodes(above, k)` each class
 states once; `loads` parses a text into a tuple term (`loads_term`),
-validates it and prints it back canonically.
+validates it and returns the text itself: a text that parses is canonical.
 
 The two walks over a finite DAG, the color chains of the arity-1 rules
 (`finitely_factorizing_check`) and the path counts of a derivation graph
@@ -46,13 +46,11 @@ UNIT_TAG = "!"
 # term syntax shared by tree-shaped elements
 
 
-def dumps_term(t, texts: dict | None = None) -> str:
+def dumps_term(t) -> str:
     """The text of the term t, built in one post-order walk with an
-    explicit stack, so that a term of any depth prints.  `texts` maps
-    subtrees to their texts and gains every subtree printed on the way;
-    a fresh memo is used when it is None."""
-    if texts is None:
-        texts = {LEAF: LEAF}
+    explicit stack, so that a term of any depth prints; each subtree is
+    printed once."""
+    texts = {LEAF: LEAF}  # subtree -> its text
     get = texts.get
     text = get(t)
     if text is not None:
@@ -206,9 +204,10 @@ class TermOperad(Operad):
             walk(t, None)
 
     def loads(self, text: str) -> str:
-        t = loads_term(text)
-        self.validate(t)
-        return dumps_term(t)
+        # loads_term reads every character of the text into the term, so
+        # a text it accepts is the canonical text of its term
+        self.validate(loads_term(text))
+        return text
 
 
 # ---------------------------------------------------------------------------

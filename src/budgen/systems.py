@@ -10,6 +10,10 @@ input.  The three generating series are
     sync = i (.) r^{(.)*} (.) t     (perfect-expression counts)
 
 whose supports are the language and the synchronous language.
+
+A system's JSON form (`system_dumps`) is the file that `--system`
+reads.  Each preset of `builtin` is such a form, a row of `_PRESETS`,
+and loads through `system_from_json` as a system file does.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .operads import (
     CollectionSpec,
     DiasOperad,
     FreeOperad,
+    LEAF,
     MagOperad,
     MotzOperad,
     _post_order,
@@ -106,8 +111,13 @@ class BudSystem:
         return self._cache[key]
 
     def synt_series(self, bound: int) -> S.Series:
-        return self._series("synt", bound, lambda r, t: S.compose_inverse(
-            S.sub(S.units_series(self.bud, bound), r), t))
+        def middle(r, t):
+            # a rule equal to a unit would cancel it in u - r
+            arity1_chain(self.bud, r.coeffs, "composition inverse")
+            return S.compose_inverse(
+                S.sub(S.units_series(self.bud, bound), r), t)
+
+        return self._series("synt", bound, middle)
 
     def sync_series(self, bound: int) -> S.Series:
         return self._series("sync", bound, S.compose_star)
@@ -255,17 +265,36 @@ _GROUND_KINDS = {"as": AsOperad, "mag": MagOperad, "motz": MotzOperad,
                  "aschr": ASchrOperad}
 
 
+def _ground(kind: str, **params) -> dict:
+    return {"kind": kind, "params": params}
+
+
+def _free(gens) -> dict:
+    """A monochrome free ground; `gens` are (name, arity) pairs."""
+    return _ground("free", generators=[{"name": name, "arity": k}
+                                       for name, k in gens])
+
+
 def ground_to_json(ground: Operad) -> dict:
     for kind, cls in _GROUND_KINDS.items():
         if isinstance(ground, cls):
-            return {"kind": kind, "params": {}}
+            return _ground(kind)
     if isinstance(ground, DiasOperad):
-        return {"kind": "dias", "params": {"gamma": ground.gamma}}
+        return _ground("dias", gamma=ground.gamma)
     if isinstance(ground, FreeOperad):
-        gens = [{"name": name, "arity": len(ins)}
-                for name, (_, ins) in ground.spec.gens.items()]
-        return {"kind": "free", "params": {"generators": gens}}
+        return _free((name, len(ins))
+                     for name, (_, ins) in ground.spec.gens.items())
     raise BudgenError("unsupported ground operad")
+
+
+def _typed(value, kind: type, field: str):
+    """value, if it is a JSON list or integer as `kind` asks: a string
+    would split into one color per letter, and int() would read 2.5 as 2
+    and true as 1."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise BudgenError("malformed system file: %s must be %s" % (
+            field, "a list" if kind is list else "an integer"))
+    return value
 
 
 def ground_from_json(data: dict) -> Operad:
@@ -275,30 +304,29 @@ def ground_from_json(data: dict) -> Operad:
         if kind == name:
             return cls()
     if kind == "dias":
-        return DiasOperad(int(params["gamma"]))
+        return DiasOperad(_typed(params["gamma"], int, "gamma"))
     if kind == "free":
-        gens = [(g["name"], MONO, (MONO,) * int(g["arity"]))
+        gens = [(g["name"], MONO, (MONO,) * _typed(g["arity"], int, "arity"))
                 for g in params["generators"]]
         return FreeOperad(CollectionSpec(gens, colors=(MONO,)))
     raise BudgenError("unknown ground kind %r" % kind)
 
 
+def _form(ground: dict, colors, rules, initial, terminal) -> dict:
+    """The JSON form of a system; rules are (out, element text, input
+    word), and a sequence of colors may be a string of one-character
+    colors."""
+    return {"ground": ground, "colors": list(colors),
+            "rules": [{"out": out, "elem": elem, "ins": list(ins)}
+                      for out, elem, ins in rules],
+            "initial": list(initial), "terminal": list(terminal)}
+
+
 def system_to_json(system: BudSystem) -> dict:
-    return {
-        "ground": ground_to_json(system.ground),
-        "colors": list(system.colors),
-        "rules": [{"out": r[0], "elem": system.ground.dumps(r[1]),
-                   "ins": list(r[2])} for r in system.rules],
-        "initial": list(system.initial),
-        "terminal": list(system.terminal),
-    }
-
-
-def _color_list(value, field: str) -> list:
-    """A list of colors; a string would otherwise split into letters."""
-    if not isinstance(value, list):
-        raise BudgenError("malformed system file: %s must be a list" % field)
-    return value
+    dumps = system.ground.dumps
+    return _form(ground_to_json(system.ground), system.colors,
+                 [(out, dumps(g), ins) for out, g, ins in system.rules],
+                 system.initial, system.terminal)
 
 
 def system_from_json(data: dict) -> BudSystem:
@@ -307,11 +335,11 @@ def system_from_json(data: dict) -> BudSystem:
     try:
         ground = ground_from_json(data["ground"])
         rules = [(r["out"], ground.loads(r["elem"]),
-                  tuple(_color_list(r["ins"], "ins")))
+                  tuple(_typed(r["ins"], list, "ins")))
                  for r in data["rules"]]
-        return BudSystem(ground, _color_list(data["colors"], "colors"), rules,
-                         _color_list(data["initial"], "initial"),
-                         _color_list(data["terminal"], "terminal"))
+        return BudSystem(ground, _typed(data["colors"], list, "colors"),
+                         rules, _typed(data["initial"], list, "initial"),
+                         _typed(data["terminal"], list, "terminal"))
     except KeyError as exc:
         raise BudgenError("malformed system file: missing field %s" % exc)
     except (TypeError, ValueError, AttributeError) as exc:
@@ -330,137 +358,50 @@ def system_loads(text: str) -> BudSystem:
 # presets
 
 
-def _dias_system(gamma: int) -> BudSystem:
-    ground = DiasOperad(gamma)
-    rules = []
-    for a in range(1, gamma + 1):
-        rules.append((MONO, "0%d" % a, (MONO, MONO)))
-        rules.append((MONO, "%d0" % a, (MONO, MONO)))
-    return BudSystem(ground, (MONO,), rules, (MONO,), (MONO,))
-
-
-def _motz_nohh_system() -> BudSystem:
-    ground = MotzOperad()
-    rules = [("1", "H", ("2", "2")), ("1", "UD", ("1", "1", "1"))]
-    return BudSystem(ground, ("1", "2"), rules, ("1",), ("1", "2"))
-
-
-def _aschr_catalan_system() -> BudSystem:
-    ground = ASchrOperad()
-    rules = [("1", ground.corolla("a"), ("1", "2")),
-             ("2", ground.corolla("b"), ("1", "2"))]
-    return BudSystem(ground, ("1", "2"), rules, ("1",), ("1", "2"))
-
-
-def _unary_binary_system() -> BudSystem:
-    spec = CollectionSpec([("a", MONO, (MONO,)), ("b", MONO, (MONO,)),
-                           ("c", MONO, (MONO, MONO))], colors=(MONO,))
-    ground = FreeOperad(spec)
-    rules = [("1", ground.corolla("a"), ("2",)),
-             ("1", ground.corolla("b"), ("2",)),
-             ("2", ground.corolla("c"), ("1", "1"))]
-    return BudSystem(ground, ("1", "2"), rules, ("1",), ("2",))
-
-
-def _btree_system(arities: Sequence[int]) -> BudSystem:
-    arities = sorted(set(int(n) for n in arities))
-    if not arities or arities[0] < 1:
-        raise BudgenError("arities must be positive integers")
-    spec = CollectionSpec([("a%d" % n, MONO, (MONO,) * n) for n in arities],
-                          colors=(MONO,))
-    ground = FreeOperad(spec)
-    rules = [(MONO, ground.corolla("a%d" % n), (MONO,) * n) for n in arities]
-    return BudSystem(ground, (MONO,), rules, (MONO,), (MONO,))
-
-
-def _bbt_system() -> BudSystem:
-    ground = MagOperad()
-    c2 = ground.corolla()
-    leaf = ground.unit(MONO)
-    rules = [("1", c2, ("1", "1")), ("1", c2, ("1", "2")),
-             ("1", c2, ("2", "1")), ("2", leaf, ("1",))]
-    return BudSystem(ground, ("1", "2"), rules, ("1",), ("1",))
-
-
-def _tamari_max_trees_system() -> BudSystem:
-    ground = MagOperad()
-    c2 = ground.corolla()
-    leaf = ground.unit(MONO)
-    rules = [("1", c2, ("1", "1")), ("1", c2, ("2", "1")),
-             ("1", c2, ("3", "2")), ("2", leaf, ("1",)),
-             ("3", c2, ("2", "1"))]
-    return BudSystem(ground, ("1", "2", "3"), rules, ("1",), ("1",))
-
-
-def _two_label_binary_ground() -> FreeOperad:
-    spec = CollectionSpec([("a", MONO, (MONO, MONO)), ("b", MONO, (MONO, MONO))],
-                          colors=(MONO,))
-    return FreeOperad(spec)
-
-
-def _tamari_balanced_intervals_system() -> BudSystem:
-    ground = _two_label_binary_ground()
-    a = ground.corolla("a")
-    b = ground.corolla("b")
-    unit = ground.unit(MONO)
-    rules = [("1", a, ("1", "1")), ("1", a, ("1", "2")), ("1", a, ("2", "1")),
-             ("1", b, ("3", "2")), ("2", unit, ("1",)),
-             ("3", a, ("1", "1")), ("3", a, ("1", "2"))]
-    return BudSystem(ground, ("1", "2", "3"), rules, ("1",), ("1",))
-
-
-def _tamari_max_intervals_system() -> BudSystem:
-    ground = _two_label_binary_ground()
-    a = ground.corolla("a")
-    b = ground.corolla("b")
-    unit = ground.unit(MONO)
-    rules = [("1", a, ("1", "1")), ("1", a, ("2", "4")), ("1", a, ("5", "2")),
-             ("1", b, ("3", "2")), ("2", unit, ("1",)),
-             ("3", a, ("1", "1")), ("3", a, ("1", "2")),
-             ("4", b, ("3", "2")), ("4", a, ("5", "2")),
-             ("5", a, ("2", "4")), ("5", b, ("3", "2"))]
-    return BudSystem(ground, ("1", "2", "3", "4", "5"), rules, ("1",), ("1",))
-
-
-def _hook_mag_system() -> BudSystem:
-    ground = MagOperad()
-    rules = [(MONO, ground.corolla(), (MONO, MONO))]
-    return BudSystem(ground, (MONO,), rules, (MONO,), (MONO,))
-
-
-def _hook_motz_system() -> BudSystem:
-    ground = MotzOperad()
-    rules = [(MONO, "H", (MONO, MONO)), (MONO, "UD", (MONO, MONO, MONO))]
-    return BudSystem(ground, (MONO,), rules, (MONO,), (MONO,))
-
-
-_BUILTIN_ALIASES = {
-    "bp": "motz-nohh",
-    "bs": "aschr-catalan",
-    "bbu": "unary-binary",
-    "b1": "tamari-max-trees",
-    "b2": "tamari-balanced-intervals",
-    "b3": "tamari-max-intervals",
-    "bperfect": "btree",
+# name -> the arguments of _form
+_PRESETS = {
+    "motz-nohh": (_ground("motz"), "12",
+                  [("1", "H", "22"), ("1", "UD", "111")], "1", "12"),
+    "aschr-catalan": (_ground("aschr"), "12",
+                      [("1", "a(*,*)", "12"), ("2", "b(*,*)", "12")],
+                      "1", "12"),
+    "unary-binary": (_free([("a", 1), ("b", 1), ("c", 2)]), "12",
+                     [("1", "a(*)", "2"), ("1", "b(*)", "2"),
+                      ("2", "c(*,*)", "11")], "1", "2"),
+    "bbt": (_ground("mag"), "12",
+            [("1", "c(*,*)", "11"), ("1", "c(*,*)", "12"),
+             ("1", "c(*,*)", "21"), ("2", "*", "1")], "1", "1"),
+    "tamari-max-trees": (_ground("mag"), "123",
+                         [("1", "c(*,*)", "11"), ("1", "c(*,*)", "21"),
+                          ("1", "c(*,*)", "32"), ("2", "*", "1"),
+                          ("3", "c(*,*)", "21")], "1", "1"),
+    "tamari-balanced-intervals": (
+        _free([("a", 2), ("b", 2)]), "123",
+        [("1", "a(*,*)", "11"), ("1", "a(*,*)", "12"), ("1", "a(*,*)", "21"),
+         ("1", "b(*,*)", "32"), ("2", "!1", "1"),
+         ("3", "a(*,*)", "11"), ("3", "a(*,*)", "12")], "1", "1"),
+    "tamari-max-intervals": (
+        _free([("a", 2), ("b", 2)]), "12345",
+        [("1", "a(*,*)", "11"), ("1", "a(*,*)", "24"), ("1", "a(*,*)", "52"),
+         ("1", "b(*,*)", "32"), ("2", "!1", "1"),
+         ("3", "a(*,*)", "11"), ("3", "a(*,*)", "12"),
+         ("4", "b(*,*)", "32"), ("4", "a(*,*)", "52"),
+         ("5", "a(*,*)", "24"), ("5", "b(*,*)", "32")], "1", "1"),
+    "hook-mag": (_ground("mag"), "1", [("1", "c(*,*)", "11")], "1", "1"),
+    "hook-motz": (_ground("motz"), "1",
+                  [("1", "H", "11"), ("1", "UD", "111")], "1", "1"),
 }
+
+
+_BUILTIN_ALIASES = {"bp": "motz-nohh", "bs": "aschr-catalan",
+                    "bbu": "unary-binary", "b1": "tamari-max-trees",
+                    "b2": "tamari-balanced-intervals",
+                    "b3": "tamari-max-intervals", "bperfect": "btree"}
 
 BUILTIN_NAMES = ("bdias", "motz-nohh", "aschr-catalan", "unary-binary",
                  "btree", "bbt", "tamari-max-trees",
                  "tamari-balanced-intervals", "tamari-max-intervals",
                  "hook-mag", "hook-motz")
-
-
-_PRESETS = {
-    "motz-nohh": _motz_nohh_system,
-    "aschr-catalan": _aschr_catalan_system,
-    "unary-binary": _unary_binary_system,
-    "bbt": _bbt_system,
-    "tamari-max-trees": _tamari_max_trees_system,
-    "tamari-balanced-intervals": _tamari_balanced_intervals_system,
-    "tamari-max-intervals": _tamari_max_intervals_system,
-    "hook-mag": _hook_mag_system,
-    "hook-motz": _hook_motz_system,
-}
 
 
 def builtin(name: str, gamma: int | None = None,
@@ -477,9 +418,18 @@ def builtin(name: str, gamma: int | None = None,
     if name == "bdias":
         if gamma is None:
             raise BudgenError("bdias needs --gamma")
-        return _dias_system(gamma)
-    if name == "btree":
+        rules = [("1", word, "11") for a in range(1, gamma + 1)
+                 for word in ("0%d" % a, "%d0" % a)]
+        form = (_ground("dias", gamma=gamma), "1", rules, "1", "1")
+    elif name == "btree":
         if not arities:
             raise BudgenError("btree needs --arities")
-        return _btree_system(arities)
-    return _PRESETS[name]()
+        arities = sorted(set(int(n) for n in arities))
+        if arities[0] < 1:
+            raise BudgenError("arities must be positive integers")
+        rules = [("1", "a%d(%s)" % (n, ",".join(LEAF * n)), "1" * n)
+                 for n in arities]
+        form = (_free(("a%d" % n, n) for n in arities), "1", rules, "1", "1")
+    else:
+        form = _PRESETS[name]
+    return system_from_json(_form(*form))

@@ -262,6 +262,23 @@ def test_series_on_a_color_cycle_exits_2(tmp_path, kind, run_ok):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["enumerate"], ["series", "--kind", "synt"], ["colt"]],
+    ids=["enumerate", "synt", "colt"])
+def test_rule_equal_to_a_unit_exits_2(tmp_path, command, invoke, run_ok):
+    # S -> S compiles to the unit of S: a color self-loop, not a missing
+    # unit coefficient of u - r
+    grammar = tmp_path / "loop.cfg"
+    grammar.write_text("S -> S\nS -> a\n")
+    system = tmp_path / "loop.json"
+    system.write_text(run_ok(["compile", str(grammar)]).output)
+    result = invoke(command + ["--system", str(system), "--max-arity", "3"])
+    assert result.exit_code == 2
+    assert result.stderr == ("error: composition inverse diverges: arity-1 "
+                             "support admits a color cycle\n")
+    assert result.output == ""
+
+
 @pytest.fixture
 def unit_chain(tmp_path, run_ok):
     """A system file of 1,500 chained variables, A1 -> A2, .., A1500 -> a."""
@@ -393,6 +410,30 @@ def test_malformed_system_file_is_an_input_error(tmp_path, field, value):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: malformed system file: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"],
+                         ids=["float", "bool", "string"])
+@pytest.mark.parametrize("field", ["gamma", "arity"])
+def test_a_ground_parameter_must_be_a_json_integer(tmp_path, invoke, field,
+                                                   value):
+    # int() would read 2.5 as 2, true as 1 and "2" as 2
+    if field == "gamma":
+        ground = {"kind": "dias", "params": {"gamma": value}}
+        elem = "01"
+    else:
+        ground = {"kind": "free",
+                  "params": {"generators": [{"name": "g", "arity": value}]}}
+        elem = "g(*,*)"
+    data = {"ground": ground, "colors": ["1"],
+            "rules": [{"out": "1", "elem": elem, "ins": ["1", "1"]}],
+            "initial": ["1"], "terminal": ["1"]}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    result = invoke(["enumerate", "--system", str(path), "--max-arity", "3"])
+    assert result.exit_code == 1
+    assert result.stderr == ("error: malformed system file: %s must be an "
+                             "integer\n" % field)
 
 
 def test_unit_below_the_root_is_an_input_error(tmp_path, invoke):

@@ -139,8 +139,9 @@ def test_rtg_constant_only_rule():
 
 
 def test_cfg_unit_cycle_diverges():
+    # S -> S is a rule equal to the unit of S, a cycle of length one
     from budgen.core import DivergenceError
-    cfg = parse_cfg("S -> T\nT -> S\nS -> a\n")
-    system = cfg_to_bud(cfg)
-    with pytest.raises(DivergenceError):
-        system.language(3)
+    for text in ("S -> T\nT -> S\nS -> a\n", "S -> S\nS -> a\n"):
+        system = cfg_to_bud(parse_cfg(text))
+        with pytest.raises(DivergenceError):
+            system.language(3)

@@ -53,17 +53,13 @@ def _dumps_reference(t) -> str:
     MagOperad, ASchrOperad, lambda: FreeOperad(_two_color_spec())],
     ids=["mag", "aschr", "free-two-color"])
 def test_memoized_printer_matches_the_recursive_one(make):
-    # elements(1) of the free operad are its units !1 and !2; the second
-    # round prints every term again from a warm memo
+    # elements(1) of the free operad are its units !1 and !2
     op = make()
-    texts = {"*": "*"}
-    for _ in range(2):
-        for n in range(1, 6):
-            for x in op.elements(n):
-                t = loads_term(x)
-                text = _dumps_reference(t)
-                assert op.dumps(x) == x == text
-                assert dumps_term(t) == dumps_term(t, texts) == text
+    for n in range(1, 6):
+        for x in op.elements(n):
+            t = loads_term(x)
+            text = _dumps_reference(t)
+            assert op.dumps(x) == x == dumps_term(t) == text
 
 
 def test_printer_memo_is_keyed_by_value():
@@ -73,10 +69,20 @@ def test_printer_memo_is_keyed_by_value():
     assert x == y and x is not y and x[1] is not y[1]
     assert dumps_term(x) == dumps_term(y) == op.dumps(op.loads(
         "c(c(*,*),*)")) == "c(c(*,*),*)"
-    assert dumps_term(y[1]) == "c(*,*)"
-    texts = {}
-    assert dumps_term(x, texts) == "c(c(*,*),*)"
-    assert texts[y[1]] == "c(*,*)"
+    assert dumps_term(y[1]) == _dumps_reference(x[1]) == "c(*,*)"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="c*!1(),ab ", max_size=14))
+def test_a_parsed_text_is_canonical(text):
+    # TermOperad.loads returns the text it validated, not a reprint of
+    # its term: that is right only when each parsed text prints back as
+    # itself
+    try:
+        t = loads_term(text)
+    except BudgenError:
+        return
+    assert dumps_term(t) == text
 
 
 def test_printer_walks_any_depth():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import budgen.series as S
@@ -373,3 +375,54 @@ def test_system_from_json_rejects_a_string_for_a_color_list(field):
     with pytest.raises(BudgenError,
                        match="malformed system file: %s must be a list" % field):
         system_from_json(data)
+
+
+# sha256 of system_dumps(builtin(name, **params)), frozen from the
+# presets' earlier builder functions: a mistyped row of the preset table
+# changes one of them
+PRESET_DUMPS_SHA256 = [
+    ("motz-nohh", {}, "fc250b01df88e1473c9f2fa1338bc53ca707d74fcf3f59eed4cb685922b6f520"),
+    ("aschr-catalan", {}, "c80ce08631ed05597dc0fbb558a6b0f3e3c2d94fdcab3bc3216ff9e92317dd3b"),
+    ("unary-binary", {}, "ec160b8d414acfa1554aa5aa6a4190532554caa1e448ca4ee5a899563d9223ec"),
+    ("bbt", {}, "5498d2a104e0e48079cbb3c8cea065b013ba5bc5b34744095496413c7315de89"),
+    ("tamari-max-trees", {}, "835640e5c57cfbeb75bfea2101556e7cdae2968403fdb184b88e1e970bf375f2"),
+    ("tamari-balanced-intervals", {}, "95a261ef683e1d10ee228934f0efa6ff6d99f044dc7e7295c9e3d2ccf6fadffc"),
+    ("tamari-max-intervals", {}, "2c91dbb470ee3ec54cc6017595f55aadf3bffe03854bc25a87fa5f651e45facd"),
+    ("hook-mag", {}, "9f23a396889c3b5d78792eba77d6613721f733e0172a33b68d4af0d3ed5a812b"),
+    ("hook-motz", {}, "eb6d62295a2deca0e7fb74441ed4e32455d801bf47643fa7afcc17a1ce12b0d8"),
+    ("bp", {}, "fc250b01df88e1473c9f2fa1338bc53ca707d74fcf3f59eed4cb685922b6f520"),
+    ("bs", {}, "c80ce08631ed05597dc0fbb558a6b0f3e3c2d94fdcab3bc3216ff9e92317dd3b"),
+    ("bbu", {}, "ec160b8d414acfa1554aa5aa6a4190532554caa1e448ca4ee5a899563d9223ec"),
+    ("b1", {}, "835640e5c57cfbeb75bfea2101556e7cdae2968403fdb184b88e1e970bf375f2"),
+    ("b2", {}, "95a261ef683e1d10ee228934f0efa6ff6d99f044dc7e7295c9e3d2ccf6fadffc"),
+    ("b3", {}, "2c91dbb470ee3ec54cc6017595f55aadf3bffe03854bc25a87fa5f651e45facd"),
+    ("bdias", {"gamma": 0}, "8965a70bdfca80cc448f7c1d583d791ad550513f337109b765e4f215c550bfab"),
+    ("bdias", {"gamma": 1}, "a5b79cc796522e0f5b40d28fa6c8d7f12b126f3108fd8439c3de8888cddbeeb4"),
+    ("bdias", {"gamma": 2}, "cefc21e46897823bea9308c51eb3a6a882c319116c107a5c65471b462d6dd027"),
+    ("bdias", {"gamma": 3}, "bbac386082232efef8b14d33e4bec752d880bad59be2772ae81fa0ae336db35d"),
+    ("bdias", {"gamma": 4}, "82a2e1c38fa907eb364a7a7f05d192c2532ca71cd8c1dca189ce3b24b85c03be"),
+    ("bdias", {"gamma": 5}, "d989beb064f29d358862055ec80407a76ad7b67973576316dfe1f61a1f468bd3"),
+    ("bdias", {"gamma": 6}, "c61e9c199469e686606fa9bf8c9c142cc3804c7c5aac12ed3d6665031e1a4182"),
+    ("bdias", {"gamma": 7}, "ed34e42d921cc1be808ae0eafc3a79313969afce58eb71df1afa5e88371d3f96"),
+    ("bdias", {"gamma": 8}, "37450f62c4fa6d833f9a7b147e9fc20374ec3abf0b9a0243a7734776f10c54f9"),
+    ("bdias", {"gamma": 9}, "44b25cdef38417db8f11869b74b8bdee2b95d0e319fc60c651156f7c719837c0"),
+    ("btree", {"arities": [1]}, "64379e8c51bae736bc311c758c30bf98a9d8c646ae6d648ab9e701a1c5d9a875"),
+    ("bperfect", {"arities": [1]}, "64379e8c51bae736bc311c758c30bf98a9d8c646ae6d648ab9e701a1c5d9a875"),
+    ("btree", {"arities": [2]}, "43392440bb528c165b66324085b0ccb58d34b0548a1a9e94db7190fff21791c1"),
+    ("bperfect", {"arities": [2]}, "43392440bb528c165b66324085b0ccb58d34b0548a1a9e94db7190fff21791c1"),
+    ("btree", {"arities": [2, 3]}, "57bac562cdff3eb4043bc6f67c9bee12a9772348bb878fc91ab118a4dc2ed4cf"),
+    ("bperfect", {"arities": [2, 3]}, "57bac562cdff3eb4043bc6f67c9bee12a9772348bb878fc91ab118a4dc2ed4cf"),
+    ("btree", {"arities": [3, 2, 2]}, "57bac562cdff3eb4043bc6f67c9bee12a9772348bb878fc91ab118a4dc2ed4cf"),
+    ("bperfect", {"arities": [3, 2, 2]}, "57bac562cdff3eb4043bc6f67c9bee12a9772348bb878fc91ab118a4dc2ed4cf"),
+    ("btree", {"arities": [1, 2, 3, 4]}, "6506d739eb308c6c31b2d33d4f6615de42c9896523e3a64ac5daebf199884353"),
+    ("bperfect", {"arities": [1, 2, 3, 4]}, "6506d739eb308c6c31b2d33d4f6615de42c9896523e3a64ac5daebf199884353"),
+    ("btree", {"arities": [5]}, "af54c8fd2d17b2b6663e56e651799a3d4997cfa73f1fa4b683b1027d21cf5107"),
+    ("bperfect", {"arities": [5]}, "af54c8fd2d17b2b6663e56e651799a3d4997cfa73f1fa4b683b1027d21cf5107"),
+]
+
+
+def test_preset_dumps_are_frozen():
+    for name, params, digest in PRESET_DUMPS_SHA256:
+        text = system_dumps(builtin(name, **params))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (
+            name, params)
