@@ -137,7 +137,10 @@ class AsOperad(Operad):
         return x + y - 1
 
     def loads(self, text: str) -> int:
-        n = int(text)
+        # int() would also read 2.7, true, " 2", "+2" and "2_0"
+        if not (type(text) is str and text.isdecimal()
+                and str(n := int(text)) == text):
+            raise BudgenError("arity must be a decimal integer: %r" % (text,))
         if n < 1:
             raise BudgenError("arity must be >= 1")
         return n

@@ -11,10 +11,12 @@ weighs each f-tree by its coefficient product for the inverse of u - f;
 for the pre-Lie star its terms also carry their node counts and the
 product times the increasing labelings, as a flat triple, or as a map
 by node count once an element is reached with a second count, so that
-one run yields both series (`pre_lie_star_and_inverse`).  All stop
-within a certified cap derived from the longest arity-1 chain.  The
-derivation graphs of `systems` call the products' one-term kernels,
-`_pre_lie_term` and `_substitute`.
+one run yields both series (`pre_lie_star_and_inverse`).  Each slice's
+roots of arity >= 2, and its arity-1 increments on the pools of the
+terms the last round added, are `_substitute` runs, the enumerator of
+every multi-input composition.  All stop within a certified cap derived
+from the longest arity-1 chain.  The derivation graphs of `systems`
+call the products' one-term kernels, `_pre_lie_term` and `_substitute`.
 """
 
 from __future__ import annotations
@@ -379,24 +381,18 @@ def compose_inverse(f: Series, inputs=None) -> Series:
     unit-normalized weights of S.
     """
     op = f.operad
-    unit_coeff = {}
-    rest = {}
-    units = {c: op.unit(c) for c in op.colors}
-    unit_set = set(units.values())
-    for x, c in f.coeffs.items():
-        if x in unit_set:
-            unit_coeff[op.out(x)] = c
-        else:
-            rest[x] = c
+    units = {op.unit(c): c for c in op.colors}
+    unit_coeff = {units[x]: c for x, c in f.coeffs.items() if x in units}
     for c in op.colors:
         if c not in unit_coeff:
             raise BudgenError("missing unit coefficient for color %r" % c)
     weights = {}
-    for x, c in rest.items():
-        denom = 1
-        for a in op.ins(x):
-            denom = denom * unit_coeff[a]
-        weights[x] = _divide(-c, denom)
+    for x, c in f.coeffs.items():
+        if x not in units:
+            denom = 1
+            for a in op.ins(x):
+                denom = denom * unit_coeff[a]
+            weights[x] = _divide(-c, denom)
     chain = arity1_chain(op, weights, "composition inverse")
     current = _graded_tree_sum(op, weights, f.bound, chain, inputs)
     # dividing by the int 1 would change neither a value nor its type
@@ -425,10 +421,11 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
 
     Slice n starts from those units (n = 1) and the roots of arity >= 2
     over the finished slices; the terms with an arity-1 root are then
-    added by increments, each from the terms the last one added and
-    only by the arity-1 weights of their output colors, which the
+    added by increments, each `_substitute` of the arity-1 weights on
+    the pools of the terms the last round added, which the
     finitely-factorizing chain bound makes vanish within chain + 1
-    rounds.  Labeled terms are {x: labeled weight} (see `_substitute`)."""
+    rounds.  Labeled terms are {x: labeled weight} (see `_substitute`);
+    this sum only seeds, merges and sums them."""
     unary: dict = {}  # input color -> the arity-1 weights
     wide = []
     for y, cy in weights.items():
@@ -436,7 +433,6 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
             unary.setdefault(op.ins(y)[0], []).append((y, cy))
         else:
             wide.append((y, cy))
-    out, compose = op.out, op._compose
     pools: dict = {}  # the finished slices
     sums: dict = {}  # x -> sum of the weight products
     labelings: dict = {}  # x -> sum of weight product * labelings
@@ -461,17 +457,10 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
             last, delta = delta, {}
             if not unary:
                 continue
-            for z, cz in last.items():
-                for y, cy in unary.get(out(z), ()):
-                    x = compose(y, 1, z)
-                    if not labeled:
-                        delta[x] = delta.get(x, 0) + cy * cz
-                    elif type(cz) is tuple:
-                        _add_labeled(delta, x, (cz[0] + 1, cy * cz[1],
-                                                cy * cz[2]))
-                    else:
-                        _graft_weights((0, cy, cy), cz, 1,
-                                       _own_map(delta, x))
+            picks = _pools(op, last.items(), None, n)
+            for c in picks:
+                for y, cy in unary.get(c, ()):
+                    _substitute(op, y, cy, picks, n, n, delta, labeled)
         else:
             raise DivergenceError("%s did not stabilize"
                                   % ("pre-Lie star" if labeled

@@ -111,11 +111,12 @@ class BudSystem:
         return self._cache[key]
 
     def synt_series(self, bound: int) -> S.Series:
+        """i (.) (u - r)^{(.)-1} (.) t, as the tree sum over the rules; a
+        rule equal to a unit is an arity-1 color cycle, which diverges."""
         def middle(r, t):
-            # a rule equal to a unit would cancel it in u - r
-            arity1_chain(self.bud, r.coeffs, "composition inverse")
-            return S.compose_inverse(
-                S.sub(S.units_series(self.bud, bound), r), t)
+            chain = arity1_chain(self.bud, r.coeffs, "composition inverse")
+            return S.Series._unchecked(self.bud, bound, S._graded_tree_sum(
+                self.bud, r.coeffs, bound, chain, t))
 
         return self._series("synt", bound, middle)
 
@@ -416,17 +417,18 @@ def builtin(name: str, gamma: int | None = None,
     if arities is not None and name != "btree":
         raise BudgenError("--arities applies to the btree preset only")
     if name == "bdias":
-        if gamma is None:
-            raise BudgenError("bdias needs --gamma")
+        if type(gamma) is not int:
+            raise BudgenError("bdias needs --gamma" if gamma is None
+                              else "gamma must be an integer")
         rules = [("1", word, "11") for a in range(1, gamma + 1)
                  for word in ("0%d" % a, "%d0" % a)]
         form = (_ground("dias", gamma=gamma), "1", rules, "1", "1")
     elif name == "btree":
         if not arities:
             raise BudgenError("btree needs --arities")
-        arities = sorted(set(int(n) for n in arities))
-        if arities[0] < 1:
+        if any(type(n) is not int or n < 1 for n in arities):
             raise BudgenError("arities must be positive integers")
+        arities = sorted(set(arities))
         rules = [("1", "a%d(%s)" % (n, ",".join(LEAF * n)), "1" * n)
                  for n in arities]
         form = (_free(("a%d" % n, n) for n in arities), "1", rules, "1", "1")

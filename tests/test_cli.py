@@ -436,6 +436,26 @@ def test_a_ground_parameter_must_be_a_json_integer(tmp_path, invoke, field,
                              "integer\n" % field)
 
 
+@pytest.mark.parametrize("elem", ["2", 2.7, " 2", "+2", "2_0", True, 2, "02"],
+                         ids=["canonical", "float", "space", "plus",
+                              "underscore", "bool", "number", "leading-zero"])
+def test_an_associative_element_is_canonical_decimal_text(tmp_path, invoke,
+                                                          elem):
+    # int() would read 2.7 as 2, " 2" and "+2" as 2, "2_0" as 20, true as 1
+    data = {"ground": {"kind": "as", "params": {}}, "colors": ["S"],
+            "rules": [{"out": "S", "elem": elem, "ins": ["S", "S"]}],
+            "initial": ["S"], "terminal": ["S"]}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    result = invoke(["enumerate", "--system", str(path), "--max-arity", "3"])
+    if elem == "2":
+        assert (result.exit_code, result.output) == (0, "1 1\n2 1\n3 1\n")
+    else:
+        assert result.exit_code == 1
+        assert result.stderr == ("error: arity must be a decimal integer: "
+                                 "%r\n" % (elem,))
+
+
 def test_unit_below_the_root_is_an_input_error(tmp_path, invoke):
     # in the free operad g(!1,*) is g(*,*), so the term is refused on load
     gens = [{"name": "g", "arity": 2}]

@@ -62,6 +62,22 @@ def test_builtin_rejects_parameters_it_does_not_read(name, kwargs, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("name,kwargs,message", [
+    ("bdias", {"gamma": 2.5}, "gamma must be an integer"),
+    ("bdias", {"gamma": "2"}, "gamma must be an integer"),
+    ("bdias", {"gamma": True}, "gamma must be an integer"),
+    ("btree", {"arities": [2.5]}, "arities must be positive integers"),
+    ("btree", {"arities": ["2"]}, "arities must be positive integers"),
+    ("btree", {"arities": [True, 2]}, "arities must be positive integers"),
+    ("btree", {"arities": [2, 0]}, "arities must be positive integers"),
+])
+def test_builtin_checks_its_parameters_before_building(name, kwargs, message):
+    # int() would read 2.5 and "2" as 2 and True as 1; no file is involved
+    with pytest.raises(BudgenError) as info:
+        builtin(name, **kwargs)
+    assert str(info.value) == message
+
+
 def test_system_validation():
     ground = MagOperad()
     c = ground.corolla()
