@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid input, 2 divergence (a fixpoint had no
-certified truncation).  Progress and diagnostics go to stderr; all data
-goes to stdout and is byte-stable across runs.
+Exit codes: 0 success, 1 invalid input or a request out of memory, 2
+divergence (a fixpoint had no certified truncation).  Progress and
+diagnostics go to stderr; all data goes to stdout and is byte-stable
+across runs.
 
 The argument parser is table-driven and uses the standard library only:
 every command has an option table and at most one positional argument.
@@ -362,8 +363,16 @@ def _run(prog, argv):
     args = _parse(options, positional, argv)
     if args is None:
         _echo(_command_help(prog, name))
-    else:
+        return
+    try:
         func(args)
+        return
+    except MemoryError:
+        pass  # raise below, once the frames that held the memory are gone
+    # str(MemoryError()) is empty: name the bound that was asked for
+    bound = getattr(args, "max_arity", None)
+    raise BudgenError("out of memory" if bound is None
+                      else "out of memory at arity bound %d" % bound)
 
 
 def main(argv=None):

@@ -44,7 +44,24 @@ class Operad:
     the text once the subclass's `validate` accepts it.  A subclass
     implements the unchecked `_compose`; the public `compose` and
     `full_compose` check positions and colors before calling it, and the
-    engine calls it directly where it has matched colors already.
+    one-position product calls it directly where it has matched colors.
+
+    The engine's multi-input compositions use templates (`_template`)
+    instead.  The template of an element x of arity m is a pair (parts,
+    splices): the m + 1 parts of x around its inputs and one splice per
+    input, such that
+
+        x o (z_1, .., z_m) = parts[0] + splice_1(z_1) + parts[1] + ..
+                                      + splice_m(z_m) + parts[m],
+
+    where `+` joins texts (adds ints on `AsOperad`) and a splice of None
+    is the identity.  The splices are the identity on `AsOperad`,
+    `MagOperad` and `MotzOperad`; a unit `!c` becomes a leaf on
+    `FreeOperad`; on `ASchrOperad` a root merges into the parent of its
+    leaf when their labels agree; and on `DiasOperad` the letters rise
+    to the pivot letter of the input.  `_compose` and `_full_compose`
+    never use templates: they stay the reference that templates are
+    tested against.
     """
 
     colors: tuple[str, ...] = (MONO,)
@@ -70,6 +87,10 @@ class Operad:
 
     def _compose(self, x, i: int, y):
         """x o_i y for a position and colors the caller has already matched."""
+        raise NotImplementedError
+
+    def _template(self, x):
+        """(parts, splices): the template of x (see the class docstring)."""
         raise NotImplementedError
 
     def full_compose(self, x, ys: Sequence):
@@ -135,6 +156,10 @@ class AsOperad(Operad):
 
     def _compose(self, x: int, i: int, y: int) -> int:
         return x + y - 1
+
+    def _template(self, x: int):
+        # x o (z_1, .., z_m) = z_1 + .. + z_m, as x = m
+        return (0,) * (x + 1), (None,) * x
 
     def loads(self, text: str) -> int:
         # int() would also read 2.7, true, " 2", "+2" and "2_0"
@@ -209,6 +234,12 @@ class BudOperad(Operad):
     def _compose(self, x, i: int, y):
         a, g, u = x
         return (a, self.ground._compose(g, i, y[1]), u[:i - 1] + y[2] + u[i:])
+
+    def _template(self, x):
+        """The template of the ground element of x: x o (z_1, .., z_m) has
+        the output color of x, the ground template applied to the ground
+        elements of the z_j, and the concatenated input words of the z_j."""
+        return self.ground._template(x[1])
 
     def dumps(self, x) -> str:
         a, g, u = x

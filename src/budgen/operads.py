@@ -10,7 +10,8 @@ words print as digit strings; Motzkin paths print as U/H/D step strings
 The three tree-shaped operads (magmatic, Schroeder and free) share one
 term core, `TermOperad`.  Their elements are their canonical term texts:
 the arity counts the leaves, grafting splices a text in at the position
-of a leaf, and printing is the identity.  One enumerator and one
+of a leaf, the template of an element (see `core.Operad`) is its text
+cut at its leaves, and printing is the identity.  One enumerator and one
 validator both follow from the node rule `_nodes(above, k)` each class
 states once; `loads` parses a text into a tuple term (`loads_term`),
 validates it and returns the text itself: a text that parses is canonical.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import product
+from operator import methodcaller
 from typing import Sequence
 
 from .core import (
@@ -166,6 +168,18 @@ class TermOperad(Operad):
         `pos`."""
         return y
 
+    def _template(self, x: str):
+        # the text of x cut at its leaves
+        if x[0] in _UNIT_HEADS:
+            return ("", ""), (None,)  # a unit: x o (z) = z
+        parts = x.split(LEAF)
+        return parts, self._leaf_splices(parts)
+
+    def _leaf_splices(self, parts: list):
+        """The splice of each leaf of the element that `parts` cut at its
+        leaves, which is not a unit: what a z becomes in its place."""
+        return (None,) * (len(parts) - 1)
+
     def _nodes(self, above, k: int):
         raise NotImplementedError
 
@@ -233,6 +247,9 @@ class MagOperad(TermOperad):
 # pivot letter p -> the translate table raising each digit below p to p
 _DIAS_RAISE = {str(p): str.maketrans({str(a): str(p) for a in range(p)})
                for p in range(10)}
+# pivot letter p -> the splice that raises the letters of a word to p
+_DIAS_SPLICES = {p: methodcaller("translate", table)
+                 for p, table in _DIAS_RAISE.items()}
 
 
 class DiasOperad(Operad):
@@ -258,6 +275,10 @@ class DiasOperad(Operad):
 
     def _compose(self, x: str, i: int, y: str) -> str:
         return x[:i - 1] + y.translate(_DIAS_RAISE[x[i - 1]]) + x[i:]
+
+    def _template(self, x: str):
+        # one raised word per letter of x, pivoting on that letter
+        return ("",) * (len(x) + 1), list(map(_DIAS_SPLICES.__getitem__, x))
 
     def validate(self, word: str) -> None:
         if word.count("0") != 1:
@@ -291,6 +312,10 @@ class MotzOperad(Operad):
 
     def _compose(self, x: str, i: int, y: str) -> str:
         return x[:i - 1] + y + x[i - 1:]
+
+    def _template(self, x: str):
+        # z_1, step 1, z_2, .., step m - 1, z_m
+        return ("", *x, ""), (None,) * (len(x) + 1)
 
     def validate(self, steps: str) -> None:
         height = 0
@@ -347,10 +372,36 @@ class ASchrOperad(TermOperad):
             return y[2:-1]
         return y
 
+    def _leaf_splices(self, parts: list):
+        # the parent of a leaf at depth d is labeled like the root at odd
+        # d and like the other label at even d (see `_splice`); a z whose
+        # root has the parent's label merges into the parent
+        merges = _MERGES[parts[0][0]]
+        depth = parts[0].count("(")  # no node closes before the first leaf
+        splices = []
+        for tail in parts[1:]:
+            splices.append(merges[depth % 2])
+            depth += tail.count("(") - tail.count(")")
+        return splices
+
     def _nodes(self, above, k: int):
         # at least 2 children, and never the label of the parent
         return [(label, (label,) * k) for label in self.LABELS
                 if label != above] if k >= 2 else []
+
+
+def _merge_into(label: str):
+    """The splice of a leaf whose parent is labeled `label`: the children
+    of a z with that root label join the parent."""
+    def merge(z: str) -> str:
+        return z[2:-1] if z[0] == label else z
+    return merge
+
+
+# root label -> the splices of a leaf whose parent is at even depth
+# (labeled with the other label) and at odd depth (with the root's)
+_MERGES = {"a": (_merge_into("b"), _merge_into("a")),
+           "b": (_merge_into("a"), _merge_into("b"))}
 
 
 def _compositions(n: int, parts: int):
@@ -455,6 +506,10 @@ class FreeOperad(TermOperad):
     def corolla(self, name: str) -> str:
         return "%s(%s)" % (name, ",".join(LEAF * self.spec.arity(name)))
 
+    def _leaf_splices(self, parts: list):
+        # a unit grafted on a leaf leaves the leaf
+        return (_unit_to_leaf,) * (len(parts) - 1)
+
     def _nodes(self, above, k: int):
         # the generators of arity k whose output is `above` (at the root,
         # each color in turn), their input colors expected below them
@@ -478,6 +533,10 @@ class FreeOperad(TermOperad):
             yield from map(self.unit, self.colors)
         else:
             yield from super().elements(n)
+
+
+def _unit_to_leaf(z: str) -> str:
+    return LEAF if z[0] == UNIT_TAG else z
 
 
 def capped_tree_operad(cap: int) -> FreeOperad:

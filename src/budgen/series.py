@@ -14,9 +14,13 @@ by node count once an element is reached with a second count, so that
 one run yields both series (`pre_lie_star_and_inverse`).  Each slice's
 roots of arity >= 2, and its arity-1 increments on the pools of the
 terms the last round added, are `_substitute` runs, the enumerator of
-every multi-input composition.  All stop within a certified cap derived
-from the longest arity-1 chain.  The derivation graphs of `systems`
-call the products' one-term kernels, `_pre_lie_term` and `_substitute`.
+every multi-input composition; the rounds' pools together are the
+slice's.  `_substitute` composes on the template of its root (see
+`core.Operad`): each pick appends its spliced text to the text built so
+far, and the element is built at the last pick.  All stop within a
+certified cap derived from the longest arity-1 chain.  The derivation
+graphs of `systems` call the products' one-term kernels, `_pre_lie_term`
+and `_substitute`.
 """
 
 from __future__ import annotations
@@ -154,7 +158,11 @@ def pre_lie(f: Series, g: Series) -> Series:
 def _pre_lie_term(op: Operad, y, weight, pools: dict, bound: int,
                   acc: dict) -> None:
     """Add weight * cz * (y o_i z) into acc for every input i of y and
-    every z of pools[color of i] (see `_pools`) within the bound."""
+    every z of pools[color of i] (see `_pools`) within the bound.
+
+    Each pick is one `_compose`, not a cut of the template of y: its
+    callers, the derivation steps, meet about two picks per input that
+    has any, and cutting y there cost more than it saved."""
     room = bound + 1 - op.arity(y)  # the largest arity of z
     for i, c in enumerate(op.ins(y), 1):
         for nz, rows in pools.get(c, {}).items():
@@ -217,8 +225,11 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
     every pick of total arity in lo..hi; an input of color c picks from
     pools[c] (see `_pools`).
 
-    Each pick is composed into the part built so far, part o_(a + 1) z
-    with a the arity of the earlier picks, once per shared prefix.
+    The walk over the picks carries the text built so far on the
+    template of y (see `Operad`), and on a bud operad the input word: a
+    pick z at input j appends splice_j(z) and parts[j + 1] to the text
+    and the word of z to the word, and the element is built at the last
+    pick only.
 
     Labeled, the picks and results carry labeled weights: a triple
     (nodes, product, labeled product), or a map {nodes: [product,
@@ -235,19 +246,28 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
     for j in range(m - 1, -1, -1):
         a0, a1 = rest[j + 1]
         rest[j] = (a0 + min(choices[j]), a1 + max(choices[j]))
-    compose = op._compose
+    if rest[0][0] > hi or rest[0][1] < lo:
+        return  # no pick tuple fits, so no template is needed
+    bud = isinstance(op, BudOperad)
+    parts, splices = op._template(y)
     last = m - 1
 
-    def assign(j: int, part, arity: int, w) -> None:
+    def assign(j: int, text, word, arity: int, w) -> None:
         buckets = choices[j]
+        splice, tail = splices[j], parts[j + 1]
         a0, a1 = rest[j + 1]
-        root, at = int(j == last), arity + 1  # input j is at arity + 1
+        root = int(j == last)
         for a in range(max(lo - arity - a1, 1), hi - arity - a0 + 1):
             rows = buckets.get(a)
             if rows is None:
                 continue
             for z, cz in rows:
-                x = compose(part, at, z)
+                u = word
+                if bud:  # the ground element of z, and the words so far
+                    z, u = z[1], word + z[2]
+                x = text + (z if splice is None else splice(z)) + tail
+                if bud and j == last:
+                    x = (y[0], x, u)
                 if not labeled:
                     wz = w * cz
                 elif type(w) is tuple and type(cz) is tuple:
@@ -260,7 +280,7 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
                     _graft_weights(w, cz, 1, _own_map(acc, x))
                     continue
                 if j < last:
-                    assign(j + 1, x, arity + a, wz)
+                    assign(j + 1, x, u, arity + a, wz)
                 elif labeled:
                     old = acc.get(x)
                     if old is None:
@@ -273,7 +293,7 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
                 else:
                     acc[x] = acc.get(x, 0) + wz
 
-    assign(0, y, 0, (0, weight, weight) if labeled else weight)
+    assign(0, parts[0], (), 0, (0, weight, weight) if labeled else weight)
 
 
 def _graft_weights(w, wz, root: int, out: dict | None = None) -> dict:
@@ -443,6 +463,8 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
         for y, cy in wide:
             _substitute(op, y, cy, pools, n, n, delta, labeled)
         terms: dict = {}
+        rounds = []  # the pools of each increment round's terms
+        reached = 0  # the terms of all rounds, an element once per round
         for _ in range(chain + 2):
             if not delta:
                 break
@@ -454,10 +476,12 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
             else:
                 for x, c in delta.items():
                     terms[x] = terms.get(x, 0) + c
+            reached += len(delta)
             last, delta = delta, {}
             if not unary:
                 continue
             picks = _pools(op, last.items(), None, n)
+            rounds.append(picks)
             for c in picks:
                 for y, cy in unary.get(c, ()):
                     _substitute(op, y, cy, picks, n, n, delta, labeled)
@@ -465,12 +489,20 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
             raise DivergenceError("%s did not stabilize"
                                   % ("pre-Lie star" if labeled
                                      else "composition inverse"))
-        if not labeled:
-            rows = [(x, c) for x, c in terms.items() if c != 0]
+        rows = (terms.items() if labeled
+                else [(x, c) for x, c in terms.items() if c != 0])
+        if rounds and len(rows) == reached:
+            # each element came from one round, with a nonzero weight: the
+            # rounds' pools, one after the other, are the slice's
+            for picks in rounds:
+                for c, buckets in picks.items():
+                    pools.setdefault(c, {}).setdefault(n, []).extend(
+                        buckets[n])
+        else:
             _pools(op, rows, pools, n)
+        if not labeled:
             sums.update(rows)
             continue
-        _pools(op, terms.items(), pools, n)
         for x, w in terms.items():
             if type(w) is tuple:
                 _, p_sum, h_sum = w

@@ -121,6 +121,17 @@ FROZEN_DIGESTS = {
     "series-bs-synt": (
         ["series", "--builtin", "bs"],
         "7cba1f69b0fc4b739e1821cd5999e539c98755bd3a1c8026dd7c5ba86f706559"),
+    # a ground per splice: Dias raises letters (1,793 lines), Motz splices
+    # steps between steps, and bbt's sync star runs on magmatic trees
+    "series-bdias2-hook": (
+        ["series", "--builtin", "bdias", "--gamma", "2", "--kind", "hook"],
+        "0bf49edb7096ed96decfded62b77ec3b68d1aa3f035d3c5395f1625aa00cd06e"),
+    "series-hook-motz-hook": (
+        ["series", "--builtin", "hook-motz", "--kind", "hook"],
+        "1f66391a237e497479c0adb4648c8f09e5caa03da5d126ddea1ffb62cd507908"),
+    "series-bbt-sync": (
+        ["series", "--builtin", "bbt", "--kind", "sync"],
+        "aa11b96b2da4e7ee176e4647729daa348c7db393068a2c4a0c1f7eff15eb34f6"),
 }
 
 
@@ -236,6 +247,19 @@ def test_graph_above_the_vertex_budget_is_an_input_error(invoke,
     assert result.exit_code == 1
     assert result.stderr == ("error: derivation graph exceeds 1000 vertices "
                              "at arity bound 8\n")
+    assert result.output == ""
+
+
+def test_out_of_memory_is_an_input_error(invoke, monkeypatch):
+    # str(MemoryError()) is empty, so the message names the bound instead
+    def exhaust(self, bound):
+        raise MemoryError()
+
+    monkeypatch.setattr(systems.BudSystem, "hook_series", exhaust)
+    result = invoke(["series", "--builtin", "bbu", "--kind", "hook",
+                     "--max-arity", "12"])
+    assert result.exit_code == 1
+    assert result.stderr == "error: out of memory at arity bound 12\n"
     assert result.output == ""
 
 

@@ -8,9 +8,12 @@ rule coefficients other than 1, both readouts of one labeled run (the
 pre-Lie star and the composition inverse) are checked against the
 syntax trees weighted by their coefficient products.
 
-The systems have 1-3 colors over AsOperad, MagOperad or a random
-FreeOperad signature, arity-1 rules only from a lower to a higher color
-(so they are finitely factorizing), and rules up to one above the bound.
+The systems have 1-3 colors over every ground: AsOperad, MagOperad, a
+random FreeOperad signature, DiasOperad (gamma 1-3), whose template
+splices raise letters, MotzOperad, whose template parts are steps, and
+ASchrOperad, whose template splices merge roots.  Arity-1 rules go only
+from a lower to a higher color (so the systems are finitely
+factorizing), and rules reach one above the bound.
 """
 
 from collections import Counter
@@ -23,9 +26,12 @@ from hypothesis import given, settings, strategies as st
 import budgen.series as S
 from budgen.core import MONO, AsOperad
 from budgen.operads import (
+    ASchrOperad,
     CollectionSpec,
+    DiasOperad,
     FreeOperad,
     MagOperad,
+    MotzOperad,
     UNIT_TAG,
     all_treelike,
     degree_bound,
@@ -57,12 +63,15 @@ def _free_ground(arities):
 @st.composite
 def random_systems(draw):
     bound = draw(st.integers(1, MAX_BOUND))
-    kind = draw(st.sampled_from(["as", "mag", "free"]))
+    kind = draw(st.sampled_from(["as", "mag", "free", "dias", "motz",
+                                 "aschr"]))
     if kind == "as":
         ground = AsOperad()
         elements = list(range(1, MAX_BOUND + 2))
-    elif kind == "mag":
-        ground = MagOperad()
+    elif kind != "free":
+        ground = (DiasOperad(draw(st.integers(1, 3))) if kind == "dias"
+                  else {"mag": MagOperad, "motz": MotzOperad,
+                        "aschr": ASchrOperad}[kind]())
         elements = [t for n in range(1, MAX_BOUND + 2)
                     for t in ground.elements(n)]
     else:
@@ -220,6 +229,30 @@ def test_labeled_run_with_a_second_node_count_matches_the_oracle(name, scale):
         assert synt.coeff(x) == sum(_tree_weight(t, coeffs) for t in trees)
         assert hook.coeff(x) == sum(_tree_weight(t, coeffs) * hook_count(t)
                                     for t in trees)
+
+
+@pytest.mark.parametrize("direct", [1, -1, 2])
+def test_an_element_of_two_increment_rounds_merges_exactly(direct):
+    # (1, 1, (3,)) is the rule 1 <- 3 in the first increment round of
+    # slice 1 and 1 <- 2 over 2 <- 3 in the second; at direct = -1 its
+    # weights cancel, and the binary rule picks it in later slices
+    rules = [("1", 1, ("2",)), ("2", 1, ("3",)), ("1", 1, ("3",)),
+             ("3", 2, ("1", "3"))]
+    system = BudSystem(AsOperad(), ("1", "2", "3"), rules, ("1",),
+                       ("1", "2", "3"))
+    op, bound = system.bud, 4
+    coeffs = {g: direct if g == ("1", 1, ("3",)) else 1
+              for g in system.rules}
+    hook, synt = S.pre_lie_star_and_inverse(S.Series(op, bound, coeffs))
+    table = all_treelike(op, system.rules, bound,
+                         degree_bound(bound, system.ff_check()[1]))
+    for x in set(table) | hook.support() | synt.support():
+        trees = table.get(x, [])
+        assert synt.coeff(x) == sum(_tree_weight(t, coeffs) for t in trees)
+        assert hook.coeff(x) == sum(_tree_weight(t, coeffs) * hook_count(t)
+                                    for t in trees)
+    reached = ("1", 1, ("3",)) in synt.coeffs
+    assert reached == (direct != -1)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
