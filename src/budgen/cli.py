@@ -62,13 +62,20 @@ def _echo(text, err=False):
     (sys.stderr if err else sys.stdout).write(text + "\n")
 
 
+def _integer(text: str) -> int | None:
+    """The value of an optional `-` and ASCII digits, else None: int()
+    would also read "1_0", "+3", " 3" and non-ASCII digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 def _parse_arities(text: str | None):
     if text is None:
         return None
-    try:
-        return [int(p) for p in text.replace(",", " ").split()]
-    except ValueError:
+    arities = [_integer(p) for p in text.split(",")]
+    if None in arities:
         raise BudgenError("bad arity list %r" % text)
+    return arities
 
 
 def _load_system(args):
@@ -256,10 +263,10 @@ def _split(options, argv, interspersed=True):
 
 def _convert(name, opt, text):
     if opt.type is int:
-        try:
-            return int(text)
-        except ValueError:
-            problem = "%r is not a valid integer." % text
+        value = _integer(text)
+        if value is not None:
+            return value
+        problem = "%r is not a valid integer." % text
     elif isinstance(opt.type, tuple) and text not in opt.type:
         problem = "%r is not one of %s." % (
             text, ", ".join(map(repr, opt.type)))

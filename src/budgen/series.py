@@ -16,18 +16,19 @@ roots of arity >= 2, and its arity-1 increments on the pools of the
 terms the last round added, are `_substitute` runs, the enumerator of
 every multi-input composition; the rounds' pools together are the
 slice's.  `_substitute` composes on the template of its root (see
-`core.Operad`): each pick appends its spliced text to the text built so
-far, and the element is built at the last pick.  All stop within a
-certified cap derived from the longest arity-1 chain.  The derivation
-graphs of `systems` call the products' one-term kernels, `_pre_lie_term`
-and `_substitute`.
+`core.Operad`), breadth first: the picks before the last grow a list of
+partial texts, and the last pick builds the elements.  A system's tree
+sum builds in its last slice only the terms that its filter by output
+color can keep.  All stop within a certified cap derived from the
+longest arity-1 chain.  The derivation graphs of `systems` call the
+products' one-term kernels, `_pre_lie_term` and `_substitute`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .core import (BudgenError, BudOperad, DivergenceError, Operad, colorize,
                    prune, type_of)
@@ -225,19 +226,22 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
     every pick of total arity in lo..hi; an input of color c picks from
     pools[c] (see `_pools`).
 
-    The walk over the picks carries the text built so far on the
-    template of y (see `Operad`), and on a bud operad the input word: a
-    pick z at input j appends splice_j(z) and parts[j + 1] to the text
-    and the word of z to the word, and the element is built at the last
-    pick only.
+    The walk is breadth first, not recursive, on the template of y (see
+    `Operad`): the picks before the last grow a list of partial states
+    (text, input word, arity, weight), a pick z at input j appending
+    splice_j(z) and parts[j + 1] to the text and the word of z to the
+    word, and the last pick builds the elements.  Each bucket of a pool
+    is spliced once per input (`_spliced`), and the last pick runs a
+    loop chosen once per call, plain or labeled, so no pick tests the
+    operad, the splice, the kind of weight or its position.
 
     Labeled, the picks and results carry labeled weights: a triple
     (nodes, product, labeled product), or a map {nodes: [product,
     labeled product]} once an element has a second node count.  y adds
-    its root node, weighted by `weight`; a pick of kz nodes multiplies
-    the products, the labeled one also by comb(k + kz, kz) (its labels
-    interleaved with the k before).  Triples stay triples, so an element
-    of one node count allocates no map."""
+    its root node, weighted by `weight`, at the last pick; a pick of kz
+    nodes multiplies the products, the labeled one also by comb(k + kz,
+    kz) (its labels interleaved with the k before).  Triples stay
+    triples, so an element of one node count allocates no map."""
     choices = [pools.get(c) for c in op.ins(y)]
     if not all(choices):
         return
@@ -250,50 +254,77 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
         return  # no pick tuple fits, so no template is needed
     bud = isinstance(op, BudOperad)
     parts, splices = op._template(y)
-    last = m - 1
-
-    def assign(j: int, text, word, arity: int, w) -> None:
-        buckets = choices[j]
-        splice, tail = splices[j], parts[j + 1]
+    join = _join if labeled else mul
+    states = [(parts[0], (), 0, (0, weight, weight) if labeled else weight)]
+    for j in range(m):
+        buckets, splice, tail = choices[j], splices[j], parts[j + 1]
         a0, a1 = rest[j + 1]
-        root = int(j == last)
-        for a in range(max(lo - arity - a1, 1), hi - arity - a0 + 1):
-            rows = buckets.get(a)
-            if rows is None:
-                continue
-            for z, cz in rows:
-                u = word
-                if bud:  # the ground element of z, and the words so far
-                    z, u = z[1], word + z[2]
-                x = text + (z if splice is None else splice(z)) + tail
-                if bud and j == last:
-                    x = (y[0], x, u)
-                if not labeled:
-                    wz = w * cz
-                elif type(w) is tuple and type(cz) is tuple:
-                    k, p, h = w
-                    kz, pz, hz = cz
-                    wz = (k + kz + root, p * pz, h * hz * comb(k + kz, kz))
-                elif j < last:
-                    wz = _graft_weights(w, cz, 0)
-                else:
-                    _graft_weights(w, cz, 1, _own_map(acc, x))
+        reads, got = [], {}  # (state, spliced rows); arity -> spliced rows
+        for text, word, arity, w in states:
+            for a in range(max(lo - arity - a1, 1), hi - arity - a0 + 1):
+                rows = got.get(a)
+                if rows is None:
+                    rows = got[a] = (_spliced(buckets[a], splice, tail, bud)
+                                     if a in buckets else ())
+                if rows:
+                    reads.append((text, word, arity + a, w, rows))
+        if j < m - 1:
+            states = [(text + t, word + u, arity, join(w, cz))
+                      for text, word, arity, w, rows in reads
+                      for t, u, cz in rows]
+    # the last pick; on a ground operad, whose elements are the texts
+    # alone, into a map keyed as on a bud operad first
+    out = acc if bud else {}
+    root = y[0] if bud else None
+    if not labeled:
+        for text, word, _, w, rows in reads:
+            for t, u, cz in rows:
+                x = (root, text + t, word + u)
+                out[x] = out.get(x, 0) + w * cz
+    else:
+        for text, word, _, w, rows in reads:
+            tupled = type(w) is tuple
+            k, p, h = w if tupled else (0, 0, 0)
+            for t, u, cz in rows:
+                x = (root, text + t, word + u)
+                if not tupled or type(cz) is not tuple:
+                    _graft_weights(w, cz, 1, _own_map(out, x))
                     continue
-                if j < last:
-                    assign(j + 1, x, u, arity + a, wz)
-                elif labeled:
-                    old = acc.get(x)
-                    if old is None:
-                        acc[x] = wz
-                    elif (type(old) is tuple and type(wz) is tuple
-                          and old[0] == wz[0]):
-                        acc[x] = (wz[0], old[1] + wz[1], old[2] + wz[2])
-                    else:
-                        _add_labeled(acc, x, wz)
+                kz, pz, hz = cz
+                key, pp, hh = k + kz + 1, p * pz, h * hz * comb(k + kz, kz)
+                old = out.get(x)
+                if old is None:
+                    out[x] = (key, pp, hh)
+                elif type(old) is tuple and old[0] == key:
+                    out[x] = (key, old[1] + pp, old[2] + hh)
                 else:
-                    acc[x] = acc.get(x, 0) + wz
+                    _add_labeled(out, x, (key, pp, hh))
+    if not bud:
+        for (_, x, _), w in out.items():
+            if labeled:
+                _add_labeled(acc, x, w)
+            else:
+                acc[x] = acc.get(x, 0) + w
 
-    assign(0, parts[0], (), 0, (0, weight, weight) if labeled else weight)
+
+def _spliced(rows, splice, part, bud: bool) -> list:
+    """The pool rows (z, cz) at one input of a template (see
+    `_substitute`) as (splice(z) + part, input word of z, cz)."""
+    if not bud:  # z as the bud element (None, z, ()), with no input word
+        rows = [((None, z, ()), cz) for z, cz in rows]
+    if splice is None:
+        return [(z[1] + part, z[2], cz) for z, cz in rows]
+    return [(splice(z[1]) + part, z[2], cz) for z, cz in rows]
+
+
+def _join(w, wz):
+    """The labeled weight w of the picks so far grafted with one more
+    pick, wz (see `_substitute`)."""
+    if type(w) is tuple and type(wz) is tuple:
+        k, p, h = w
+        kz, pz, hz = wz
+        return (k + kz, p * pz, h * hz * comb(k + kz, kz))
+    return _graft_weights(w, wz, 0)
 
 
 def _graft_weights(w, wz, root: int, out: dict | None = None) -> dict:
@@ -433,7 +464,7 @@ def _divide(c, d):
 
 
 def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
-                     inputs=None, labeled: bool = False):
+                     inputs=None, labeled: bool = False, outputs=None):
     """The sums over the trees of V = u + W (.) V, composed on the right
     with the units of `inputs`, arity slice by arity slice: {x: sum of
     the weight products of the trees of x}; labeled, the pair of {x: sum
@@ -445,18 +476,37 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
     the pools of the terms the last round added, which the
     finitely-factorizing chain bound makes vanish within chain + 1
     rounds.  Labeled terms are {x: labeled weight} (see `_substitute`);
-    this sum only seeds, merges and sums them."""
+    this sum only seeds, merges and sums them.
+
+    No slice reads the last one, so its pools are not assembled.  Given
+    `outputs`, the output colors that the caller keeps, the last slice
+    builds only the roots and arity-1 increments whose output color
+    reaches one of them through arity-1 weights: the terms of any other
+    color are never picks, and the caller drops them."""
     unary: dict = {}  # input color -> the arity-1 weights
+    up: dict = {}  # output color -> the input colors of its arity-1 weights
     wide = []
     for y, cy in weights.items():
         if op.arity(y) == 1:
             unary.setdefault(op.ins(y)[0], []).append((y, cy))
+            up.setdefault(op.out(y), []).append(op.ins(y)[0])
         else:
             wide.append((y, cy))
     pools: dict = {}  # the finished slices
     sums: dict = {}  # x -> sum of the weight products
     labelings: dict = {}  # x -> sum of weight product * labelings
     for n in range(1, bound + 1):
+        if n == bound and outputs is not None:
+            # the last slice's terms are never picks: build only those that
+            # arity-1 weights still lead to an output color
+            keep, todo = set(outputs), list(outputs)
+            for c in todo:  # todo grows while it is read
+                more = set(up.get(c, ())) - keep
+                keep |= more
+                todo += more
+            wide = [(y, cy) for y, cy in wide if op.out(y) in keep]
+            unary = {c: [(y, cy) for y, cy in ys if op.out(y) in keep]
+                     for c, ys in unary.items()}
         delta = units_series(op, bound, inputs).coeffs if n == 1 else {}
         if labeled:
             delta = {x: (0, 1, 1) for x in delta}
@@ -491,7 +541,9 @@ def _graded_tree_sum(op: Operad, weights: dict, bound: int, chain: int,
                                      else "composition inverse"))
         rows = (terms.items() if labeled
                 else [(x, c) for x, c in terms.items() if c != 0])
-        if rounds and len(rows) == reached:
+        if n == bound:
+            pass  # nothing reads the last slice's pools
+        elif rounds and len(rows) == reached:
             # each element came from one round, with a nonzero weight: the
             # rounds' pools, one after the other, are the slice's
             for picks in rounds:

@@ -99,26 +99,32 @@ class BudSystem:
             self._cache[key] = self._filtered(m, bound)
         return self._cache[key]
 
+    def _tree_sum(self, r: S.Series, labeled: bool):
+        """The tree sum of the rules r composed with the terminal units
+        (see `series._graded_tree_sum`), whose last slice builds only the
+        terms that i (.) can keep; a rule equal to a unit is an arity-1
+        color cycle, which diverges."""
+        chain = arity1_chain(self.bud, r.coeffs, "pre-Lie star" if labeled
+                             else "composition inverse")
+        return S._graded_tree_sum(self.bud, r.coeffs, r.bound, chain,
+                                  self.terminal, labeled=labeled,
+                                  outputs=self.initial)
+
     def hook_series(self, bound: int) -> S.Series:
         """i (.) r^{<-*} (.) t.  Its run yields the syntactic series of
         the same bound too, which is cached unless it is already."""
         key = ("hook", bound)
         if key not in self._cache:
-            hook, synt = S.pre_lie_star_and_inverse(self.rule_series(bound),
-                                                    self.terminal)
+            hook, synt = (S.Series._unchecked(self.bud, bound, sums) for sums
+                          in self._tree_sum(self.rule_series(bound), True))
             self._cache[key] = self._filtered(hook, bound)
             self._cache.setdefault(("synt", bound), self._filtered(synt, bound))
         return self._cache[key]
 
     def synt_series(self, bound: int) -> S.Series:
-        """i (.) (u - r)^{(.)-1} (.) t, as the tree sum over the rules; a
-        rule equal to a unit is an arity-1 color cycle, which diverges."""
-        def middle(r, t):
-            chain = arity1_chain(self.bud, r.coeffs, "composition inverse")
-            return S.Series._unchecked(self.bud, bound, S._graded_tree_sum(
-                self.bud, r.coeffs, bound, chain, t))
-
-        return self._series("synt", bound, middle)
+        """i (.) (u - r)^{(.)-1} (.) t, as the tree sum over the rules."""
+        return self._series("synt", bound, lambda r, t: S.Series._unchecked(
+            self.bud, bound, self._tree_sum(r, False)))
 
     def sync_series(self, bound: int) -> S.Series:
         return self._series("sync", bound, S.compose_star)

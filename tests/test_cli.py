@@ -121,6 +121,14 @@ FROZEN_DIGESTS = {
     "series-bs-synt": (
         ["series", "--builtin", "bs"],
         "7cba1f69b0fc4b739e1821cd5999e539c98755bd3a1c8026dd7c5ba86f706559"),
+    # bs and b3 have wide rules of a non-initial output color, whose
+    # roots the last slice of their hook run does not build
+    "series-bs-hook": (
+        ["series", "--builtin", "bs", "--kind", "hook"],
+        "4f029a2565f036fe216c015fb28ddf9629125703a6f5d7009540b150b29eed90"),
+    "series-b3-hook": (
+        ["series", "--builtin", "b3", "--kind", "hook"],
+        "762bfd38befe08a90dde966db2b593c63fbe0144f44d9b92c72c759e2426b923"),
     # a ground per splice: Dias raises letters (1,793 lines), Motz splices
     # steps between steps, and bbt's sync star runs on magmatic trees
     "series-bdias2-hook": (
@@ -639,6 +647,29 @@ def test_option_value_may_follow_an_equals_sign(run_ok):
     # options may come in any order
     reordered = run_ok(["series", "--max-arity", "3", "--builtin", "bs"])
     assert reordered.output == spaced.output
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--max-arity", "1_0"), ("--max-arity", "+3"), ("--max-arity", " 3"),
+    ("--max-arity", "3 "), ("--max-arity", "--3"), ("--max-arity", "-"),
+    ("--max-arity", ""), ("--gamma", "\u0661"), ("--gamma", "2.0"),
+    ("--arities", "2_0"), ("--arities", ",2,,3,"), ("--arities", "2, 3"),
+    ("--arities", "2 3"), ("--arities", "+2"), ("--arities", ""),
+    ("--arities", "\u0662")])
+def test_integers_are_an_optional_minus_and_ascii_digits(invoke, option,
+                                                         value):
+    # int() would read 1_0 as 10, and +3, " 3" and an Arabic-Indic digit
+    preset = {"--gamma": "bdias", "--arities": "btree"}.get(option, "bs")
+    args = ["series", "--builtin", preset, option, value]
+    if option != "--max-arity":
+        args += ["--max-arity", "3"]
+    result = invoke(args)
+    assert result.exit_code == 1
+    assert result.output == ""
+    assert result.stderr == (
+        "error: bad arity list %r\n" % value if option == "--arities" else
+        "error: Invalid value for %r: %r is not a valid integer.\n"
+        % (option, value))
 
 
 @pytest.mark.parametrize("args,message", [

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 import budgen.series as S
 from budgen.core import MONO, AsOperad, BudgenError, BudOperad, DivergenceError
 from budgen.operads import (
+    ASchrOperad,
+    DiasOperad,
     MagOperad,
     all_treelike,
     degree_bound,
@@ -233,6 +238,96 @@ def test_engine_series_are_well_formed(name):
     assert above
     with pytest.raises(BudgenError, match="exceeds the arity bound"):
         S.Series(op, bound, {min(above, key=op.key): 1})
+
+
+def _alternatives(w):
+    """The (nodes, product, labeled product) terms of a labeled weight."""
+    if type(w) is tuple:
+        return [w]
+    return [(k, p, h) for k, (p, h) in w.items()]
+
+
+def _substitute_by_products(op, y, weight, pools, lo, hi, labeled):
+    """`_substitute` by brute force: every tuple of pool rows, composed
+    with `_full_compose`; labeled, as {x: {nodes: [product, labeled]}}."""
+    rows = [[row for bucket in pools.get(c, {}).values() for row in bucket]
+            for c in op.ins(y)]
+    acc = {}
+    for picks in product(*rows):
+        if not lo <= sum(op.arity(z) for z, _ in picks) <= hi:
+            continue
+        x = op._full_compose(y, [z for z, _ in picks])
+        if not labeled:
+            c = weight
+            for _, cz in picks:
+                c = c * cz
+            acc[x] = acc.get(x, 0) + c
+            continue
+        for terms in product(*[_alternatives(cz) for _, cz in picks]):
+            k, p, h = 0, weight, weight
+            for kz, pz, hz in terms:
+                k, p, h = k + kz, p * pz, h * hz * comb(k + kz, kz)
+            cell = acc.setdefault(x, {}).setdefault(k + 1, [0, 0])
+            cell[0] += p
+            cell[1] += h
+    return acc
+
+
+@pytest.mark.parametrize("op", [
+    BudOperad(ASchrOperad(), ("1", "2")), BudOperad(MagOperad(), ("1", "2")),
+    ASchrOperad(), DiasOperad(2), AS], ids=[
+    "bud-aschr", "bud-mag", "aschr", "dias2", "as"])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_substitute_equals_the_products_of_pool_rows(op, labeled):
+    # the breadth-first walk on templates against one _full_compose per
+    # tuple of picks, over a range of arities (lo < hi) and with pools of
+    # several arities per color; labeled picks mix triples and maps
+    rng = random.Random(7)
+    elements = {n: list(op.elements(n)) for n in (1, 2, 3)}
+    rows = []
+    for n, xs in elements.items():
+        for z in rng.sample(xs, min(len(xs), 6)):
+            cz = rng.choice([1, 2, -3])
+            if labeled:
+                cz = rng.choice([(n - 1, cz, 1), (n, 1, cz),
+                                 {n: [cz, 2], n + 1: [1, cz]}])
+            rows.append((z, cz))
+    pools = S._pools(op, rows)
+    for y in elements[2][:3] + elements[3][:3]:
+        for lo, hi in ((2, 5), (4, 7), (1, 9)):
+            acc = {}
+            S._substitute(op, y, 3, pools, lo, hi, acc, labeled)
+            if labeled:
+                acc = {x: {w[0]: list(w[1:])} if type(w) is tuple else w
+                       for x, w in acc.items()}
+            assert acc == _substitute_by_products(op, y, 3, pools, lo, hi,
+                                                  labeled), (y, lo, hi)
+
+
+@pytest.mark.parametrize("kind", ["hook", "synt"])
+def test_last_slice_builds_no_root_that_the_filter_drops(monkeypatch, kind):
+    # bs: rule b has the output color 2, which is not initial and which
+    # no arity-1 rule leads from, so its roots at the bound are dropped
+    substitute = S._substitute
+    slices = set()
+
+    def spy(op, y, weight, pools, lo, hi, acc, labeled=False):
+        if op.out(y) == "2" and op.arity(y) >= 2:
+            slices.add((lo, hi))
+        substitute(op, y, weight, pools, lo, hi, acc, labeled)
+
+    monkeypatch.setattr(S, "_substitute", spy)
+    system = builtin("bs")
+    got = getattr(system, kind + "_series")(6)
+    assert (5, 5) in slices and (6, 6) not in slices
+    monkeypatch.setattr(S, "_substitute", substitute)
+    bud, r = system.bud, system.rule_series(6)
+    middle = (S.pre_lie_star(r, system.terminal) if kind == "hook" else
+              S.compose_inverse(S.sub(S.units_series(bud, 6), r),
+                                system.terminal))
+    # the public fixpoints keep their full last slice
+    assert any(x[0] == "2" for x in middle.support_slice(6))
+    assert got == system._filtered(middle, 6)
 
 
 def test_pre_lie_star_passes_an_empty_node_level():
