@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Mapping
 from typing import Iterable, Sequence
 
 from .core import MONO, BudgenError, BudOperad, Operad
@@ -176,29 +177,27 @@ class BudSystem:
     def derivation_graph(self, bound: int, synchronous: bool = False):
         """BFS closure from the initial units, restricted to arity <= bound:
         each vertex x is expanded once, into the terms of x <- r (or of
-        x (.) r).  An arity-1 rule on a color cycle makes the closure
-        infinite; a graph above GRAPH_VERTEX_BUDGET vertices raises
-        BudgenError."""
+        x (.) r), which are its successor map.  An arity-1 rule on a color
+        cycle makes the closure infinite; a graph above
+        GRAPH_VERTEX_BUDGET vertices raises BudgenError."""
         arity1_chain(self.bud, self.rules, "derivation graph")
         pools = S._pools_of(self.rule_series(bound))
         frontier = [self.bud.unit(c) for c in self.initial]
-        vertices = set(frontier)
-        edges: dict = {}
+        succ = dict.fromkeys(frontier)  # vertex -> its steps, once expanded
         while frontier:
             nxt = []
             for x in frontier:
-                for y, mult in self._steps(x, bound, synchronous,
-                                           pools).items():
-                    edges[(x, y)] = mult
-                    if y not in vertices:
-                        if len(vertices) == GRAPH_VERTEX_BUDGET:
+                steps = succ[x] = self._steps(x, bound, synchronous, pools)
+                for y in steps:
+                    if y not in succ:
+                        if len(succ) == GRAPH_VERTEX_BUDGET:
                             raise BudgenError(
                                 "derivation graph exceeds %d vertices at "
                                 "arity bound %d" % (GRAPH_VERTEX_BUDGET, bound))
-                        vertices.add(y)
+                        succ[y] = None
                         nxt.append(y)
             frontier = nxt
-        return DerivGraph(self, vertices, edges)
+        return DerivGraph(self, succ)
 
 
 def _faithful(lang: set) -> bool:
@@ -208,16 +207,17 @@ def _faithful(lang: set) -> bool:
 
 
 class DerivGraph:
-    """Derivation multigraph; edge multiplicities count rule applications."""
+    """Derivation multigraph, given by its successor maps: `succ` maps
+    each vertex x to {y: multiplicity of x -> y}, a multiplicity counting
+    rule applications.  `vertices` and `edges`, {(x, y): multiplicity},
+    are views of it."""
 
-    def __init__(self, system: BudSystem, vertices: set, edges: dict):
+    def __init__(self, system: BudSystem, succ: dict):
         self.system = system
-        self.vertices = vertices
-        self.edges = edges
-        self._succ: dict = {}  # x -> {y: multiplicity of x -> y}
+        self._succ = succ
+        self.vertices = succ.keys()
+        self.edges = _Edges(succ)
         self._paths: dict = {}  # source -> {vertex: path count}
-        for (x, y), mult in edges.items():
-            self._succ.setdefault(x, {})[y] = mult
 
     def multipath_count(self, src, dst) -> int:
         """Directed paths from src to dst, counting edge multiplicities."""
@@ -236,31 +236,54 @@ class DerivGraph:
         table = {src: 1}
         for v in reversed(order):
             count = table[v]
-            for w, mult in self._succ.get(v, {}).items():
+            for w, mult in self._succ[v].items():
                 table[w] = table.get(w, 0) + mult * count
         self._paths[src] = table
         return table
 
     def serialized(self) -> tuple[list, list]:
-        """The vertices as text, and the edges as (x text, y text,
-        multiplicity), both ordered by the (arity, serialization) keys
-        (of x, then of y); each vertex is serialized once."""
-        op = self.system.bud
-        key = {v: op.key(v) for v in self.vertices}
-        vertices = [text for _, text in sorted(key.values())]
-        edges = [(key[x][1], key[y][1], self.edges[(x, y)])
-                 for x, y in sorted(self.edges,
-                                    key=lambda e: (key[e[0]], key[e[1]]))]
+        """The vertices as text, in the order of `Operad.key`, and the
+        edges as (x text, y text, multiplicity), ordered by x and then
+        by y in that order: the vertices are ranked once, each serialized
+        once, and each successor map is sorted by rank."""
+        ordered = S._ordered(self.system.bud, ((v, v) for v in self._succ))
+        rank = {v: i for i, (_, v) in enumerate(ordered)}
+        vertices = [text for text, _ in ordered]
+        edges = []
+        for text, x in ordered:
+            for i, mult in sorted([(rank[y], mult)
+                                   for y, mult in self._succ[x].items()]):
+                edges.append((text, vertices[i], mult))
         return vertices, edges
 
     def to_dot(self) -> str:
+        """The graph in the DOT language, one edge line per unit of
+        multiplicity; each ID is quoted, with its `\\` and `"` escaped."""
         vertices, edges = self.serialized()
+        ids = {v: '"%s"' % v.replace("\\", "\\\\").replace('"', '\\"')
+               for v in vertices}
         lines = ["digraph derivations {"]
-        lines.extend('  "%s";' % v for v in vertices)
+        lines.extend("  %s;" % ids[v] for v in vertices)
         for x, y, mult in edges:
-            lines.extend(['  "%s" -> "%s";' % (x, y)] * mult)
+            lines.extend(["  %s -> %s;" % (ids[x], ids[y])] * mult)
         lines.append("}")
         return "\n".join(lines)
+
+
+class _Edges(Mapping):
+    """The edges {(x, y): multiplicity} of successor maps, read from them."""
+
+    def __init__(self, succ: dict):
+        self._succ = succ
+
+    def __len__(self):
+        return sum(map(len, self._succ.values()))
+
+    def __iter__(self):
+        return ((x, y) for x, steps in self._succ.items() for y in steps)
+
+    def __getitem__(self, edge):
+        return self._succ[edge[0]][edge[1]]
 
 
 # ---------------------------------------------------------------------------

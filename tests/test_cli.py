@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 from typing import NamedTuple
@@ -140,6 +141,22 @@ FROZEN_DIGESTS = {
     "series-bbt-sync": (
         ["series", "--builtin", "bbt", "--kind", "sync"],
         "aa11b96b2da4e7ee176e4647729daa348c7db393068a2c4a0c1f7eff15eb34f6"),
+    # the graph printer: the order of the vertices and of each vertex's
+    # edges, and dot's one line per unit of multiplicity (every edge of
+    # bbu at 4 has multiplicity 1; bdias at 5 repeats 144 lines)
+    "graph-bbt-text": (
+        ["graph", "--builtin", "bbt", "--max-arity", "6", "--format", "text"],
+        "f86e065cfdfe9f575e380faabe27cb766b951ecdd3fcd0b11ae174e8a02f02e2"),
+    "graph-bbu-dot": (
+        ["graph", "--builtin", "bbu", "--max-arity", "4"],
+        "8e3a4ef5e85ea2763310666a16e355749a3154d6273d27ecc6e7cf3ddd9ce29e"),
+    "graph-bdias2-dot": (
+        ["graph", "--builtin", "bdias", "--gamma", "2", "--max-arity", "5"],
+        "1c12d3f256ca213e9068722201fdcee5f627440f8041c388dbbd182bda3a0b91"),
+    "graph-b3-sync-text": (
+        ["graph", "--builtin", "b3", "--sync", "--max-arity", "6",
+         "--format", "text"],
+        "eba3a129caade68de023ce2023620297fa515e3ee279da2430d0ed92574a78c4"),
 }
 
 
@@ -169,6 +186,29 @@ def test_graph_text_output(run_ok):
         "1:c(*,*):2,1 -> 1:c(*,c(*,*)):1,1,1 [1]",
         "1:c(*,*):2,1 -> 1:c(*,c(*,*)):1,1,2 [1]",
         "1:c(*,*):2,1 -> 1:c(*,c(*,*)):1,2,1 [1]"]
+
+
+# a DOT double-quoted ID: `\"` stands for `"`, and `\\` is one pair, so a
+# trailing backslash cannot escape the closing quote
+DOT_ID = r'"(?:[^"\\]|\\["\\])*"'
+
+
+def test_graph_dot_escapes_quotes_and_backslashes(tmp_path, run_ok):
+    # a CFG terminal is any whitespace-free token, `"` and `x\` among them
+    grammar = tmp_path / "quotes.cfg"
+    grammar.write_text('S -> " S\nS -> x\\\n')
+    system = tmp_path / "quotes.json"
+    system.write_text(run_ok(["compile", str(grammar)]).output)
+    lines = run_ok(["graph", "--system", str(system),
+                    "--max-arity", "2"]).output.splitlines()
+    assert lines == [
+        'digraph derivations {',
+        r'  "S:1:S";', r'  "S:1:x\\";', r'  "S:2:\",S";', r'  "S:2:\",x\\";',
+        r'  "S:1:S" -> "S:1:x\\";', r'  "S:1:S" -> "S:2:\",S";',
+        r'  "S:2:\",S" -> "S:2:\",x\\";',
+        '}']
+    for line in lines[1:-1]:
+        assert re.fullmatch(r"  %s( -> %s)?;" % (DOT_ID, DOT_ID), line)
 
 
 def test_colt_csv_header_and_rows(run_ok):

@@ -2,11 +2,12 @@
 brute-force syntax-tree oracle `all_treelike`, the type recurrences
 (coefficients and counting series) against the colt pushforward and the
 per-arity sums of the series, the bounded successors and derivation
-graphs against composition references written here, and the hook and
-sync coefficients against path counts in the derivation graphs.  With
-rule coefficients other than 1, both readouts of one labeled run (the
-pre-Lie star and the composition inverse) are checked against the
-syntax trees weighted by their coefficient products.
+graphs against composition references written here, the hook and
+sync coefficients against path counts in the derivation graphs, and the
+orders of `Series.dumps` and `DerivGraph.serialized` against one sort
+on `Operad.key`.  With rule coefficients other than 1, both readouts of
+one labeled run (the pre-Lie star and the composition inverse) are
+checked against the syntax trees weighted by their coefficient products.
 
 The systems have 1-3 colors over every ground: AsOperad, MagOperad, a
 random FreeOperad signature, DiasOperad (gamma 1-3), whose template
@@ -370,6 +371,48 @@ def test_graph_edges_are_the_successors_of_random_systems(case):
 def test_graph_edges_are_the_successors_of_presets(name, bound):
     _check_graph_edges_are_successors(
         builtin(name, **_PRESET_KWARGS.get(name, {})), bound)
+
+
+def _dumps_by_key(f) -> str:
+    """`Series.dumps` by its definition: the terms sorted by `op.key`."""
+    op = f.operad
+    return "\n".join("%s * %s" % (f.coeffs[x], op.dumps(x))
+                     for x in sorted(f.coeffs, key=op.key))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(random_systems(),
+       st.lists(st.one_of(st.integers(-5, 5),
+                          st.fractions(-5, 5, max_denominator=6)),
+                min_size=1, max_size=6))
+def test_dumps_orders_the_terms_by_the_operad_key(case, scalars):
+    system, bound = case
+    op = system.bud
+    terms = set(system.rule_series(bound).coeffs)
+    for kind in ("hook", "synt", "sync"):
+        terms |= getattr(system, kind + "_series")(bound).support()
+    f = S.Series(op, bound, {x: scalars[i % len(scalars)] for i, x
+                             in enumerate(sorted(terms, key=op.key))})
+    # the pushforward to the ground operad, where sums may cancel
+    for g in (f, S.pru_series(f), S.Series(op, bound),
+              S.Series(op.ground, bound)):
+        assert g.dumps() == _dumps_by_key(g)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(random_systems())
+def test_serialized_orders_the_edges_by_the_operad_key(case):
+    system, bound = case
+    op = system.bud
+    for synchronous in (False, True):
+        graph = system.derivation_graph(bound, synchronous)
+        vertices, edges = graph.serialized()
+        assert vertices == [op.dumps(v)
+                            for v in sorted(graph.vertices, key=op.key)]
+        assert edges == [
+            (op.dumps(x), op.dumps(y), graph.edges[(x, y)])
+            for x, y in sorted(graph.edges,
+                               key=lambda e: (op.key(e[0]), op.key(e[1])))]
 
 
 def _check_path_counts(system, bound: int) -> None:

@@ -405,6 +405,8 @@ def test_colt_table():
     f = S.characteristic(mag_bud, [mag_bud.element("1", c, ("1", "2")),
                                    mag_bud.element("1", c, ("2", "1"))], 4)
     assert S.colt_table(f) == {("1", (1, 1)): 2}
+    with pytest.raises(BudgenError, match="bud operad"):
+        S.colt_table(S.characteristic(MAG, [c], 4))
 
 
 def test_zero_one_coefficients():

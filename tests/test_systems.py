@@ -330,7 +330,7 @@ def test_multipath_count_on_a_cyclic_graph_raises():
     src = cyclic.bud.unit("1")
     (mid,) = cyclic.successors(src, 1)
     assert src in cyclic.successors(mid, 1)
-    graph = DerivGraph(cyclic, {src, mid}, {(src, mid): 1, (mid, src): 1})
+    graph = DerivGraph(cyclic, {src: {mid: 1}, mid: {src: 1}})
     for x in graph.vertices:
         with pytest.raises(BudgenError):
             graph.multipath_count(src, x)
