@@ -9,9 +9,11 @@ derived from a canonical string serialization.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 MONO = "1"  # color token used by every monochrome operad
+_first = itemgetter(0)
 
 
 class BudgenError(Exception):
@@ -125,8 +127,19 @@ class Operad:
     def key(self, x) -> tuple[int, str]:
         """Sort key: (arity, canonical serialization).  It is not memoized:
         the tree grounds' elements are their own texts, and the other
-        grounds print with `str` or a short format."""
+        grounds print with `str` or a short format.  `_ordered` sorts in
+        this order without a key per element; the two must stay in step."""
         return (self.arity(x), self.dumps(x))
+
+    def _ordered(self, rows) -> list:
+        """The rows (x, value) as (serialization of x, value), in the order
+        of `key(x)`: grouped by arity, and each group sorted by text."""
+        arity, text = self.arity, self.dumps
+        groups: dict = {}
+        for x, value in rows:
+            groups.setdefault(arity(x), []).append((text(x), value))
+        return [row for n in sorted(groups)
+                for row in sorted(groups[n], key=_first)]
 
     def elements(self, n: int) -> Iterable:
         """Per-arity enumeration; only locally finite operads provide it."""

@@ -28,13 +28,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import itemgetter, mul
+from operator import mul
 
 from .core import (BudgenError, BudOperad, DivergenceError, Operad, colorize,
                    prune, type_of)
 from .operads import AsOperad, arity1_chain, degree_bound
-
-_first = itemgetter(0)
 
 
 class Series:
@@ -96,20 +94,10 @@ class Series:
 
     def dumps(self) -> str:
         """`coeff * element` lines in the order of `Operad.key`, (arity,
-        serialization), each element serialized once (see `_ordered`)."""
+        serialization), each element serialized once (see
+        `Operad._ordered`)."""
         return "\n".join("%s * %s" % (c, text) for text, c
-                         in _ordered(self.operad, self.coeffs.items()))
-
-
-def _ordered(op: Operad, rows) -> list:
-    """The rows (x, value) as (serialization of x, value), in the order
-    of `op.key(x)`: grouped by arity, and each group sorted by text."""
-    arity, text = op.arity, op.dumps
-    groups: dict = {}
-    for x, value in rows:
-        groups.setdefault(arity(x), []).append((text(x), value))
-    return [row for n in sorted(groups)
-            for row in sorted(groups[n], key=_first)]
+                         in self.operad._ordered(self.coeffs.items()))
 
 
 def characteristic(operad: Operad, elements, bound: int) -> Series:
@@ -241,10 +229,9 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
     (text, input word, arity, weight), a pick z at input j appending
     splice_j(z) and parts[j + 1] to the text and the word of z to the
     word, and the last pick builds the elements.  Each bucket of a pool
-    is spliced once per input (`_spliced`), kept by arity when more than
-    one partial state reads it, and the last pick runs a loop chosen
-    once per call, plain or labeled, so no pick tests the operad, the
-    splice, the kind of weight or its position.
+    is spliced once per input (`_spliced`), and the last pick runs a
+    loop chosen once per call, plain or labeled, so no pick tests the
+    operad, the splice, the kind of weight or its position.
 
     Labeled, the picks and results carry labeled weights: a triple
     (nodes, product, labeled product), or a map {nodes: [product,
@@ -270,24 +257,15 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
     for j in range(m):
         buckets, splice, tail = choices[j], splices[j], parts[j + 1]
         a0, a1 = rest[j + 1]
-        reads = []  # (state, spliced rows)
-        if len(states) == 1:  # it reads each bucket once
-            text, word, arity, w = states[0]
+        reads, got = [], {}  # (state, spliced rows); arity -> spliced rows
+        for text, word, arity, w in states:
             for a in range(max(lo - arity - a1, 1), hi - arity - a0 + 1):
-                if a in buckets:
-                    reads.append((text, word, arity + a, w,
-                                  _spliced(buckets[a], splice, tail, bud)))
-        else:
-            got = {}  # arity -> spliced rows
-            for text, word, arity, w in states:
-                for a in range(max(lo - arity - a1, 1), hi - arity - a0 + 1):
-                    rows = got.get(a)
-                    if rows is None:
-                        rows = got[a] = (
-                            _spliced(buckets[a], splice, tail, bud)
-                            if a in buckets else ())
-                    if rows:
-                        reads.append((text, word, arity + a, w, rows))
+                rows = got.get(a)
+                if rows is None:
+                    rows = got[a] = (_spliced(buckets[a], splice, tail, bud)
+                                     if a in buckets else ())
+                if rows:
+                    reads.append((text, word, arity + a, w, rows))
         if j < m - 1:
             states = [(text + t, word + u, arity, join(w, cz))
                       for text, word, arity, w, rows in reads
@@ -310,9 +288,8 @@ def _substitute(op: Operad, y, weight, pools: dict, lo: int, hi: int,
                 if not tupled or type(cz) is not tuple:
                     _graft_weights(w, cz, 1, _own_map(out, x))
                     continue
-                kz, pz, hz = cz  # with k = 0, comb(k + kz, kz) is 1
-                key, pp, hh = (k + kz + 1, p * pz,
-                               h * hz * comb(k + kz, kz) if k else h * hz)
+                kz, pz, hz = cz
+                key, pp, hh = k + kz + 1, p * pz, h * hz * comb(k + kz, kz)
                 old = out.get(x)
                 if old is None:
                     out[x] = (key, pp, hh)

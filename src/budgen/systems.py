@@ -236,7 +236,7 @@ class DerivGraph:
         table = {src: 1}
         for v in reversed(order):
             count = table[v]
-            for w, mult in self._succ[v].items():
+            for w, mult in self._succ.get(v, {}).items():
                 table[w] = table.get(w, 0) + mult * count
         self._paths[src] = table
         return table
@@ -246,7 +246,7 @@ class DerivGraph:
         edges as (x text, y text, multiplicity), ordered by x and then
         by y in that order: the vertices are ranked once, each serialized
         once, and each successor map is sorted by rank."""
-        ordered = S._ordered(self.system.bud, ((v, v) for v in self._succ))
+        ordered = self.system.bud._ordered((v, v) for v in self._succ)
         rank = {v: i for i, (_, v) in enumerate(ordered)}
         vertices = [text for text, _ in ordered]
         edges = []

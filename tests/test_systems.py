@@ -357,6 +357,17 @@ def test_multipath_count_from_every_source():
         assert graph.multipath_count(src, x) == c
 
 
+def test_multipath_count_from_a_unit_outside_the_graph():
+    # the unit of a non-initial color is no vertex: it reaches only itself
+    bbt = builtin("bbt")
+    graph = bbt.derivation_graph(4)
+    outside = bbt.bud.unit("2")
+    assert outside not in graph.vertices
+    assert graph.multipath_count(outside, outside) == 1
+    for x in graph.vertices:
+        assert graph.multipath_count(outside, x) == 0
+
+
 def test_multipath_count_along_a_long_unit_chain():
     # A1 -> A2, .., A1500 -> a: one derivation, 1,500 steps deep
     cfg = parse_cfg("".join("A%d -> A%d\n" % (i, i + 1)
